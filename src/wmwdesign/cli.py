@@ -26,6 +26,7 @@ from .moments import Design, alt_moments, null_moments
 from .power import (
     ONE_SIDED_UPPER,
     SIDES,
+    AllocationSearchError,
     PowerQuery,
     deficiency_general,
     deficiency_symmetric,
@@ -62,9 +63,13 @@ def _sig10(x):
     return x
 
 
-def _emit_json(data):
-    json.dump(_sig10(data), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _emit_json(data, path=None):
+    """Write data as JSON to stdout, or to the file at ``path`` when given."""
+    text = json.dumps(_sig10(data), indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 def _write_csv(path, header, rows):
@@ -278,7 +283,7 @@ def _cmd_reproduce(args):
         # the second group holds the chi-square (recovery) distribution
         out["omega_star_second_group"] = 1.0 - report.optimal.omega
         out["scenario_version"] = scenarios_mod.SCENARIO_VERSION
-        _emit_json(out)
+        _emit_json(out, args.out)
         return EXIT_OK
 
     group = scenarios_mod.SCENARIOS.get(args.figure)
@@ -372,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", required=True, choices=SCENARIOS_CHOICES)
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--out", help="write CSV here instead of JSON to stdout")
+    p.add_argument("--out", help="write CSV here instead of JSON to stdout "
+                                 "(epping: its JSON report)")
     p.set_defaults(func=_cmd_reproduce)
 
     return parser
@@ -386,7 +392,7 @@ def main(argv=None) -> int:
     except (UsageError, ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QuadratureAccuracyError as exc:
+    except (QuadratureAccuracyError, AllocationSearchError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except TableSizeError as exc:

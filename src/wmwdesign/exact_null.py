@@ -1,4 +1,4 @@
-"""Exact null distribution of the U statistic via the classical recurrence.
+"""Exact null distribution of the U statistic via its generating function.
 
 Arrangement counts are kept as exact Python integers and normalized only on
 demand, so table moments can be checked as exact rationals.
@@ -7,9 +7,11 @@ demand, so table moments can be checked as exact rationals.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,10 +69,14 @@ class CriticalValue:
 
 @lru_cache(maxsize=64)
 def build_table(m: int, n: int, max_entries: int = MAX_TABLE_ENTRIES) -> ExactNullTable:
-    """Exact pmf of U under the null by dynamic programming.
+    """Exact pmf of U under the null from its generating function.
 
-    Recurrence on arrangement counts: c(u; i, j) = c(u - j; i - 1, j) + c(u; i, j - 1)
-    with c(u; 0, j) = c(u; i, 0) = [u == 0].
+    With a = min(m, n) and b = max(m, n), the counts are the coefficients of
+    the Gaussian binomial prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i) (Harding,
+    Applied Statistics 33:1-6, 1984).  After step i the running product is a
+    polynomial of degree i*b, so each step works on the first i*b + 1
+    coefficients: the multiply is one shifted subtraction and the divide a
+    cumulative sum with stride i.
     """
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be >= 1, got m={m}, n={n}")
@@ -79,56 +85,47 @@ def build_table(m: int, n: int, max_entries: int = MAX_TABLE_ENTRIES) -> ExactNu
             f"table for m={m}, n={n} needs {m * n + 1} entries, limit {max_entries}"
         )
 
-    # prev_row[j] holds counts for (i - 1, j); rebuilt row by row over i
-    prev_row = [[1] for _ in range(n + 1)]
-    for i in range(1, m + 1):
-        cur_row = [[1]]
-        for j in range(1, n + 1):
-            above = prev_row[j]      # (i - 1, j), shifted by j
-            left = cur_row[j - 1]    # (i, j - 1)
-            size = i * j + 1
-            cell = [0] * size
-            for u, c in enumerate(above):
-                cell[u + j] += c
-            for u, c in enumerate(left):
-                cell[u] += c
-            cur_row.append(cell)
-        prev_row = cur_row
+    a, b = min(m, n), max(m, n)
+    counts = [1] + [0] * (m * n)
+    for i in range(1, a + 1):
+        top = i * b + 1  # coefficients kept at this step
+        shift = b + i  # >= top only at i = 1, where both slices are empty
+        counts[shift:top] = map(operator.sub, counts[shift:top], counts[:top - shift])
+        for r in range(i):
+            counts[r:top:i] = accumulate(counts[r:top:i])
 
-    counts = tuple(prev_row[n])
     assert sum(counts) == math.comb(m + n, m)
-    return ExactNullTable(m=m, n=n, counts=counts)
+    return ExactNullTable(m=m, n=n, counts=tuple(counts))
 
 
 def critical_value(table: ExactNullTable, alpha: float, side: str = "upper") -> CriticalValue:
     """Smallest upper bound whose rejection region has size <= alpha.
 
     For ``side="two_sided"`` the region is symmetric, {U >= u} | {U <= mn - u},
-    and the achieved size counts both tails.
+    and the achieved size counts both tails.  Sizes are compared exactly, as
+    integers, against alpha limited to a denominator of at most 10**12.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
     if side not in ("upper", "two_sided"):
         raise ValueError(f"side must be 'upper' or 'two_sided', got {side!r}")
 
+    limit = Fraction(alpha).limit_denominator(10**12)
     mn = table.m * table.n
-    total = table.total
+    bound = limit.numerator * table.total  # size k/total <= alpha iff k*den <= bound
+    tails = 2 if side == "two_sided" else 1
     tail = 0  # running count of P(U >= u) * total
-    best = None
+    best = None  # (u, k): bound and its rejected arrangement count
     for u in range(mn, -1, -1):
+        if tails == 2 and u <= mn - u:
+            break  # tails would overlap; stop before double counting
         tail += table.counts[u]
-        size = Fraction(tail, total)
-        if side == "two_sided":
-            if u <= mn - u:
-                break  # tails would overlap; stop before double counting
-            size = 2 * size
-        if size <= Fraction(alpha).limit_denominator(10**12):
-            best = (u, float(size))
-        else:
+        if tails * tail * limit.denominator > bound:
             break
+        best = (u, tails * tail)
 
-    if best is None or best[1] == 0.0:
+    size = 0.0 if best is None else float(Fraction(best[1], table.total))
+    if size == 0.0:
         # even the most extreme value cannot be rejected at this alpha
-        value = mn + 1
-        return CriticalValue(value=value, achieved_size=0.0, degenerate=True)
-    return CriticalValue(value=best[0], achieved_size=best[1], degenerate=False)
+        return CriticalValue(value=mn + 1, achieved_size=0.0, degenerate=True)
+    return CriticalValue(value=best[0], achieved_size=size, degenerate=False)

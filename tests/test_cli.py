@@ -162,6 +162,38 @@ def test_reproduce_epping(capsys):
     assert data["deficiency_at_half"] <= 0.02
 
 
+def test_reproduce_epping_out_writes_report(tmp_path, capsys):
+    out_path = tmp_path / "epping.json"
+    code, out, _ = run(capsys, "reproduce", "--figure", "epping", "--out", str(out_path))
+    assert code == 0
+    assert out == ""
+    code, stdout_report, _ = run(capsys, "reproduce", "--figure", "epping")
+    assert code == 0
+    assert out_path.read_text() == stdout_report
+
+
+def test_deficiency_search_failure_is_numeric_exit(capsys):
+    code, out, err = run(
+        capsys, "deficiency", "--omega", "0.5", "--n", "50",
+        "--f-spec", '{"family":"chi_square","params":{"df":3}}',
+        "--g-spec", '{"family":"chi_square","params":{"df":5}}',
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure:")
+    assert err.count("\n") == 1
+
+
+def test_simulate_t_test_group_of_one_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD,
+        "--m", "1", "--n2", "5", "--trials", "100", "--test", "t_hom",
+    )
+    assert code == 1
+    assert out == ""
+    assert "at least 2" in err
+
+
 def test_reproduce_is_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

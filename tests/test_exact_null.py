@@ -19,6 +19,71 @@ def enumerate_counts(m, n):
     return tuple(counts)
 
 
+def recurrence_counts(m, n):
+    """Reference counts by the classical cell-by-cell recurrence.
+
+    c(u; i, j) = c(u - j; i - 1, j) + c(u; i, j - 1), c(u; 0, j) = c(u; i, 0) = [u == 0].
+    """
+    prev_row = [[1] for _ in range(n + 1)]
+    for i in range(1, m + 1):
+        cur_row = [[1]]
+        for j in range(1, n + 1):
+            cell = [0] * (i * j + 1)
+            for u, c in enumerate(prev_row[j]):
+                cell[u + j] += c
+            for u, c in enumerate(cur_row[j - 1]):
+                cell[u] += c
+            cur_row.append(cell)
+        prev_row = cur_row
+    return tuple(prev_row[n])
+
+
+def scan_critical_value(table, alpha, side):
+    """Reference critical value: scan u downwards comparing Fraction sizes."""
+    mn = table.m * table.n
+    tail = 0
+    best = None
+    for u in range(mn, -1, -1):
+        tail += table.counts[u]
+        size = Fraction(tail, table.total)
+        if side == "two_sided":
+            if u <= mn - u:
+                break
+            size = 2 * size
+        if size <= Fraction(alpha).limit_denominator(10**12):
+            best = (u, float(size))
+        else:
+            break
+    if best is None or best[1] == 0.0:
+        return (mn + 1, 0.0, True)
+    return (best[0], best[1], False)
+
+
+SMALL_SIZES = [(m, n) for m in range(1, 21) for n in range(1, 21)]
+LARGE_SIZES = [(40, 60), (70, 70), (5, 70)]
+ALPHAS = (0.01, 0.025, 0.05, 0.1)
+
+
+@pytest.mark.parametrize("sizes", [SMALL_SIZES] + [[mn] for mn in LARGE_SIZES],
+                         ids=["1..20x1..20"] + [f"{m}x{n}" for m, n in LARGE_SIZES])
+def test_table_matches_recurrence(sizes):
+    for m, n in sizes:
+        assert build_table(m, n).counts == recurrence_counts(m, n), (m, n)
+
+
+@pytest.mark.parametrize("sizes", [SMALL_SIZES] + [[mn] for mn in LARGE_SIZES],
+                         ids=["1..20x1..20"] + [f"{m}x{n}" for m, n in LARGE_SIZES])
+def test_critical_value_matches_fraction_scan(sizes):
+    # the small sizes include degenerate tables (1x1, 1x2, 2x2, ...) on both sides
+    for m, n in sizes:
+        t = build_table(m, n)
+        for side in ("upper", "two_sided"):
+            for alpha in ALPHAS:
+                cv = critical_value(t, alpha, side)
+                expected = scan_critical_value(t, alpha, side)
+                assert (cv.value, cv.achieved_size, cv.degenerate) == expected, (m, n, side, alpha)
+
+
 def test_minimal_tables():
     assert build_table(1, 1).counts == (1, 1)
     t = build_table(2, 2)

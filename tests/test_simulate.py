@@ -45,6 +45,34 @@ def test_compute_u_rejects_empty():
         compute_u([], [1.0])
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 7), (7, 1), (3, 5), (25, 25), (10, 60),
+                                 (70, 70), (150, 150)])
+@pytest.mark.parametrize("integer_valued", [False, True])
+def test_u_matrix_matches_broadcast_count(m, n, integer_valued):
+    rng = np.random.default_rng(m * 1000 + n)
+    X = rng.normal(0.3, 1.0, size=(64, m))
+    Y = rng.normal(0.0, 1.0, size=(64, n))
+    if integer_valued:  # forces many x == y ties, which count as x >= y
+        X, Y = np.round(2 * X), np.round(2 * Y)
+    broadcast = (X[:, :, None] >= Y[:, None, :]).sum(axis=(1, 2))
+    U = simulate_mod._u_matrix(X, Y)
+    assert U.dtype == broadcast.dtype
+    np.testing.assert_array_equal(U, broadcast)
+
+
+def test_u_matrix_all_tied():
+    U = simulate_mod._u_matrix(np.zeros((3, 4)), np.zeros((3, 5)))
+    np.testing.assert_array_equal(U, [20, 20, 20])
+
+
+@pytest.mark.parametrize("test", ["t_hom", "t_het"])
+@pytest.mark.parametrize("m,n", [(1, 5), (5, 1)])
+def test_t_tests_reject_group_of_one(test, m, n):
+    plan = SimulationPlan(normal(3, 1), normal(0, 1), Design(m, n), trials=100)
+    with pytest.raises(ValueError, match="at least 2"):
+        simulate_power(plan, test=test)
+
+
 def test_determinism_same_seed():
     plan = SimulationPlan(normal(0.75, 1), normal(0, 1), Design(10, 10),
                           trials=5000, seed=77)
