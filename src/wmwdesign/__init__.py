@@ -1,6 +1,6 @@
 """Power analysis and optimal sample-size allocation for the Wilcoxon-Mann-Whitney test."""
 
-from .design import ConfigurationError, CurvePoint, DesignReport, optimal_design, power_curve
+from .design import CurvePoint, DesignReport, optimal_design, power_curve
 from .distributions import (
     DistributionSpec,
     ParameterError,
@@ -30,6 +30,7 @@ from .power import (
     ONE_SIDED_UPPER,
     TWO_SIDED,
     AllocationSearchError,
+    ConfigurationError,
     PowerQuery,
     PowerResult,
     deficiency_general,

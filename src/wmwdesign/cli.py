@@ -14,15 +14,15 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import design as design_mod
-from . import power as power_mod
 from . import scenarios as scenarios_mod
 from .distributions import DistributionSpec, ParameterError
 from .exact_null import TableSizeError, build_table, critical_value
 from .exceedance import QuadratureAccuracyError, check_identities
-from .moments import Design, alt_moments, null_moments
+from .moments import Design, null_moments
 from .power import (
     ONE_SIDED_UPPER,
     SIDES,
@@ -30,8 +30,6 @@ from .power import (
     PowerQuery,
     deficiency_general,
     deficiency_symmetric,
-    welch_optimal_omega,
-    welch_power,
     wmw_power,
 )
 from .simulate import TESTS, SimulationPlan, simulate_power
@@ -108,31 +106,18 @@ def _add_spec_args(p):
     p.add_argument("--side", choices=SIDES, default=ONE_SIDED_UPPER)
 
 
-def _power_result_dict(res):
-    return {
-        "approx_power": res.approx_power,
-        "mu_n": res.mu_n,
-        "sigma2_n": res.sigma2_n,
-        "method": res.method,
-        "low_confidence": res.low_confidence,
-        "degenerate_variance": res.degenerate_variance,
-    }
+def _design_dict(d):
+    return {"m": d.m, "n": d.n, "omega": d.omega}
 
 
 def _design_report_dict(report):
+    # explicit, because DesignReport's field order is not the JSON key order
     return {
-        "optimal": {
-            "m": report.optimal.m,
-            "n": report.optimal.n,
-            "omega": report.optimal.omega,
-        },
+        "optimal": _design_dict(report.optimal),
         "optimal_power": report.optimal_power,
         "deficiency_at_half": report.deficiency_at_half,
         "epsilon": report.epsilon,
-        "power_curve": [
-            {"omega": p.omega, "m": p.m, "n": p.n, "power": p.power}
-            for p in report.power_curve
-        ],
+        "power_curve": [asdict(p) for p in report.power_curve],
     }
 
 
@@ -144,9 +129,7 @@ def _cmd_power(args):
     G = _load_spec(args.g_spec, "--g-spec")
     d = _resolve_design(args)
     res = wmw_power(PowerQuery(F, G, d, args.alpha, args.side))
-    out = {"design": {"m": d.m, "n": d.n, "omega": d.omega}}
-    out.update(_power_result_dict(res))
-    _emit_json(out)
+    _emit_json({"design": _design_dict(d), **asdict(res)})
     return EXIT_OK
 
 
@@ -237,29 +220,16 @@ def _cmd_simulate(args):
     d = _resolve_design(args)
     plan = SimulationPlan(F, G, d, args.alpha, args.side, trials=args.trials, seed=args.seed)
     res = simulate_power(plan, test=args.test)
-    _emit_json({
-        "design": {"m": d.m, "n": d.n, "omega": d.omega},
-        "rejection_rate": res.rejection_rate,
-        "standard_error": res.standard_error,
-        "test_used": res.test_used,
-        "trials": res.trials,
-        "fell_back_to_normal": res.fell_back_to_normal,
-    })
+    _emit_json({"design": _design_dict(d), **asdict(res)})
     return EXIT_OK
 
 
 def _cmd_check_identities(args):
     F = _load_spec(args.f_spec, "--f-spec")
     G = _load_spec(args.g_spec, "--g-spec")
-    report = check_identities(F, G)
-    _emit_json({
-        "complement_residual": report.complement_residual,
-        "nested_residual": report.nested_residual,
-        "p_x_ge_y": report.summary.p_x_ge_y,
-        "int_g2_f": report.summary.int_g2_f,
-        "int_1mf2_g": report.summary.int_1mf2_g,
-        "quadrature_error_bound": report.summary.quadrature_error_bound,
-    })
+    out = asdict(check_identities(F, G))
+    out.update(out.pop("summary"))
+    _emit_json(out)
     return EXIT_OK
 
 
@@ -286,14 +256,9 @@ def _cmd_reproduce(args):
         _emit_json(out, args.out)
         return EXIT_OK
 
-    group = scenarios_mod.SCENARIOS.get(args.figure)
-    if group is None:
-        raise UsageError(
-            f"--figure must be one of {sorted(SCENARIOS_CHOICES)}, got {args.figure!r}"
-        )
     rows = []
     grid = [i / 10.0 for i in range(1, 10)]
-    for sc in group:
+    for sc in scenarios_mod.SCENARIOS[args.figure]:
         seed = args.seed if args.seed is not None else sc.seed
         trials = args.trials if args.trials is not None else sc.trials
         for p in design_mod.power_curve(sc.F, sc.G, sc.total_n, alpha=sc.alpha,

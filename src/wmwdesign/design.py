@@ -2,21 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .distributions import DistributionSpec
 from .moments import Design
-from .power import (
-    ONE_SIDED_UPPER,
-    PowerQuery,
-    _deficiency_search,
-    wmw_power,
-)
-
-
-class ConfigurationError(ValueError):
-    """The requested search grid is empty."""
+from .power import ONE_SIDED_UPPER, _deficiency_search, _grid, wmw_power_at
+from .power import wmw_power  # noqa: F401  kept as design.wmw_power for perfbench/spans.py
 
 
 @dataclass(frozen=True)
@@ -36,14 +27,8 @@ class DesignReport:
     epsilon: float
 
 
-def _grid(total_n: int, epsilon: float) -> range:
-    lo = max(1, math.ceil(epsilon * total_n))
-    hi = min(total_n - 1, math.floor((1.0 - epsilon) * total_n))
-    if lo > hi:
-        raise ConfigurationError(
-            f"no realizable allocations for N={total_n} with epsilon={epsilon}"
-        )
-    return range(lo, hi + 1)
+def _point(power_at, d: Design) -> CurvePoint:
+    return CurvePoint(d.omega, d.m, d.n, power_at(d.m, d.n))
 
 
 def optimal_design(F: DistributionSpec, G: DistributionSpec, total_n: int,
@@ -55,20 +40,13 @@ def optimal_design(F: DistributionSpec, G: DistributionSpec, total_n: int,
     smaller m.  The exceedance integrals are cached per (F, G), so the scan
     costs one quadrature triple regardless of grid size.
     """
-    curve = []
-    for m in _grid(total_n, epsilon):
-        d = Design(m, total_n - m)
-        res = wmw_power(PowerQuery(F, G, d, alpha, side))
-        curve.append(CurvePoint(d.omega, d.m, d.n, res.approx_power))
-
+    power_at = wmw_power_at(F, G, alpha, side)
+    curve = [_point(power_at, Design(m, total_n - m)) for m in _grid(total_n, epsilon)]
     best = max(curve, key=lambda p: (p.power, -abs(p.omega - 0.5), -p.m))
     optimal = Design(best.m, best.n)
 
     deficiency = None
     if compute_deficiency:
-        def power_at(m, n):
-            return wmw_power(PowerQuery(F, G, Design(m, n), alpha, side)).approx_power
-
         deficiency = _deficiency_search(power_at, total_n, 0.5, best.power)
 
     return DesignReport(
@@ -86,9 +64,5 @@ def power_curve(F: DistributionSpec, G: DistributionSpec, total_n: int,
     """Power at the realizable design nearest each requested allocation fraction."""
     if grid is None:
         grid = [m / total_n for m in range(1, total_n)]
-    points = []
-    for omega in grid:
-        d = Design.from_total(total_n, omega)
-        res = wmw_power(PowerQuery(F, G, d, alpha, side))
-        points.append(CurvePoint(d.omega, d.m, d.n, res.approx_power))
-    return points
+    power_at = wmw_power_at(F, G, alpha, side)
+    return [_point(power_at, Design.from_total(total_n, omega)) for omega in grid]

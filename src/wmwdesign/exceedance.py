@@ -98,30 +98,29 @@ def _weighted_quad(integrand, F: DistributionSpec, G: DistributionSpec,
     return _quad(integrand, lo, hi, points=pts)
 
 
-@lru_cache(maxsize=4096)
 def prob_x_ge_y(F: DistributionSpec, G: DistributionSpec) -> float:
     """P(X >= Y) for X ~ F, Y ~ G, both continuous."""
-    value, err = _weighted_quad(lambda x: G.cdf(x) * F.pdf(x), F, G, weight=F)
-    if err > RESULT_TOL:
-        raise QuadratureAccuracyError("exceedance probability did not converge", err)
-    return _clip_unit(value)
+    return second_moment_integrals(F, G).p_x_ge_y
 
 
 @lru_cache(maxsize=4096)
 def second_moment_integrals(F: DistributionSpec, G: DistributionSpec) -> ExceedanceSummary:
     """All three integrals of the variance formula, with the achieved error bound.
 
-    Never raises on slow convergence; the achieved bound is reported so the
-    caller can decide whether it is acceptable.
+    Raises QuadratureAccuracyError when the bound exceeds RESULT_TOL, so no
+    result rests on unconverged integrals.
     """
     p, e1 = _weighted_quad(lambda x: G.cdf(x) * F.pdf(x), F, G, weight=F)
     i1, e2 = _weighted_quad(lambda x: G.cdf(x) ** 2 * F.pdf(x), F, G, weight=F)
     i2, e3 = _weighted_quad(lambda x: (1.0 - F.cdf(x)) ** 2 * G.pdf(x), F, G, weight=G)
+    bound = max(e1, e2, e3)
+    if bound > RESULT_TOL:
+        raise QuadratureAccuracyError("exceedance integrals did not converge", bound)
     return ExceedanceSummary(
         p_x_ge_y=_clip_unit(p),
         int_g2_f=_clip_unit(i1),
         int_1mf2_g=_clip_unit(i2),
-        quadrature_error_bound=max(e1, e2, e3),
+        quadrature_error_bound=bound,
     )
 
 

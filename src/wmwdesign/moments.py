@@ -30,7 +30,9 @@ class Design:
 
     @classmethod
     def from_total(cls, total_n: int, omega: float) -> "Design":
-        """Nearest realizable design to allocation fraction omega."""
+        """Nearest realizable design to allocation fraction omega in (0, 1)."""
+        if not 0.0 < omega < 1.0:
+            raise ValueError(f"omega must be in (0, 1), got {omega}")
         m = int(round(omega * total_n))
         m = min(max(m, 1), total_n - 1)
         return cls(m, total_n - m)

@@ -17,9 +17,16 @@ SIDES = (ONE_SIDED_UPPER, TWO_SIDED)
 # below this group size the normal approximation is flagged as low confidence
 MIN_GROUP_SIZE = 7
 
+# the deficiency search gives up above this multiple of the starting total
+CAP_FACTOR = 20
+
 
 class AllocationSearchError(RuntimeError):
     """Deficiency search exhausted its sample-size cap."""
+
+
+class ConfigurationError(ValueError):
+    """The requested search grid is empty."""
 
 
 def _check_side(side: str):
@@ -75,7 +82,7 @@ def wmw_power(q: PowerQuery) -> PowerResult:
         power = 1.0 if ms.mu_n > 0 or (q.side == TWO_SIDED and ms.mu_n != 0) else 0.0
         return PowerResult(power, ms.mu_n, ms.sigma2_n, "wmw_normal_approx",
                            low_confidence=True, degenerate_variance=True)
-    power = _normal_power(ms.mu_n, ms.sigma2_n, q.alpha, q.side)
+    power = float(_normal_power(ms.mu_n, ms.sigma2_n, q.alpha, q.side))
     return PowerResult(power, ms.mu_n, ms.sigma2_n, "wmw_normal_approx", low_confidence=low)
 
 
@@ -86,18 +93,39 @@ def deficiency_symmetric(omega: float) -> float:
     return 1.0 / (4.0 * omega * (1.0 - omega)) - 1.0
 
 
-def _deficiency_search(power_at, total_n: int, omega: float, target: float,
-                       cap_factor: int = 20) -> float:
+def wmw_power_at(F: DistributionSpec, G: DistributionSpec, alpha: float = 0.05,
+                 side: str = ONE_SIDED_UPPER):
+    """The function (m, n) -> approximate WMW power of the design m/n."""
+    def power_at(m: int, n: int) -> float:
+        return wmw_power(PowerQuery(F, G, Design(m, n), alpha, side)).approx_power
+
+    return power_at
+
+
+def _grid(total_n: int, epsilon: float, smallest: int = 1) -> range:
+    """Group sizes m with epsilon <= m/N <= 1-epsilon and both groups >= smallest."""
+    lo = max(smallest, math.ceil(epsilon * total_n))
+    hi = min(total_n - smallest, math.floor((1.0 - epsilon) * total_n))
+    if lo > hi:
+        raise ConfigurationError(
+            f"no realizable allocations for N={total_n} with epsilon={epsilon}"
+        )
+    return range(lo, hi + 1)
+
+
+def _deficiency_search(power_at, total_n: int, omega: float, target: float) -> float:
     """Smallest D >= 0 with power(omega, N(1+D)) >= target, over integer totals.
 
-    Each total t in [N, cap_factor * N] is split as m = round(omega * t),
+    Each total t in [N, CAP_FACTOR * N] is split as m = round(omega * t),
     n = t - m, with halves rounded to even (Python's ``round``): at omega = 1/2
     a total of 51 splits 26/25 and a total of 53 splits 26/27.  The paper does
     not say which group gets the odd subject; this rule is the package's
     choice, and the deficiency can depend on it (for normal(0.75, 0.5) vs
     normal(0, 1) at N = 50 it gives 0.04, the opposite split 0.02).
     """
-    for np_total in range(total_n, cap_factor * total_n + 1):
+    if not 0.0 < omega < 1.0:
+        raise ValueError(f"omega must be in (0, 1), got {omega}")
+    for np_total in range(total_n, CAP_FACTOR * total_n + 1):
         m = int(round(omega * np_total))
         n = np_total - m
         if m < 1 or n < 1:
@@ -105,7 +133,7 @@ def _deficiency_search(power_at, total_n: int, omega: float, target: float,
         if power_at(m, n) >= target - 1e-12:
             return np_total / total_n - 1.0
     raise AllocationSearchError(
-        f"no total sample size up to {cap_factor}x reaches the optimal power"
+        f"no total sample size up to {CAP_FACTOR}x reaches the optimal power"
     )
 
 
@@ -114,20 +142,14 @@ def deficiency_general(F: DistributionSpec, G: DistributionSpec, total_n: int,
                        side: str = ONE_SIDED_UPPER, epsilon: float = 0.1) -> float:
     """Extra total sample size fraction needed at allocation omega to match the optimum.
 
-    The optimum is the best design of ``optimal_design`` at ``total_n``.  Larger
-    totals are searched one at a time and split as ``_deficiency_search``
-    documents: m = round(omega * t) with halves rounded to even, a choice the
-    paper leaves open.
+    The optimum is the best power over the allocation grid of ``optimal_design``
+    at ``total_n``.  Larger totals are searched one at a time and split as
+    ``_deficiency_search`` documents: m = round(omega * t) with halves rounded
+    to even, a choice the paper leaves open.
     """
-    from .design import optimal_design  # deferred: design builds on this module
-
-    report = optimal_design(F, G, total_n, alpha=alpha, side=side, epsilon=epsilon,
-                            compute_deficiency=False)
-
-    def power_at(m, n):
-        return wmw_power(PowerQuery(F, G, Design(m, n), alpha, side)).approx_power
-
-    return _deficiency_search(power_at, total_n, omega, report.optimal_power)
+    power_at = wmw_power_at(F, G, alpha, side)
+    target = max(power_at(m, total_n - m) for m in _grid(total_n, epsilon))
+    return _deficiency_search(power_at, total_n, omega, target)
 
 
 # -- Welch t-test baseline ----------------------------------------------
@@ -165,14 +187,13 @@ def welch_power(mu1: float, sd1: float, mu2: float, sd2: float, design: Design,
 def welch_deficiency(mu1: float, sd1: float, mu2: float, sd2: float, total_n: int,
                      omega: float, alpha: float = 0.05,
                      side: str = ONE_SIDED_UPPER, epsilon: float = 0.1) -> float:
-    """Deficiency of allocation omega for the Welch baseline test."""
-    lo = max(2, math.ceil(epsilon * total_n))
-    hi = min(total_n - 2, math.floor((1.0 - epsilon) * total_n))
-    if lo > hi:
-        raise ValueError(f"no realizable allocations for N={total_n}, epsilon={epsilon}")
+    """Deficiency of allocation omega for the Welch baseline test.
 
+    The optimum is taken over the same grid as ``deficiency_general``, with at
+    least two subjects per group so that Welch's degrees of freedom exist.
+    """
     def power_at(m, n):
         return welch_power(mu1, sd1, mu2, sd2, Design(m, n), alpha, side).approx_power
 
-    target = max(power_at(m, total_n - m) for m in range(lo, hi + 1))
+    target = max(power_at(m, total_n - m) for m in _grid(total_n, epsilon, smallest=2))
     return _deficiency_search(power_at, total_n, omega, target)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from wmwdesign import exceedance
 from wmwdesign.cli import main
 
 NORMAL_SHIFTED = '{"family":"normal","params":{"mean":0.75,"sd":1}}'
@@ -220,3 +221,53 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["power"])  # missing required flags
     assert exc.value.code == 1
+
+
+def test_omega_outside_unit_interval_is_usage_error(capsys):
+    for argv in (
+        ("deficiency", "--omega", "0", "--n", "50"),
+        ("power-curve", "--n", "50", "--grid", "1.5,-3"),
+        ("power", "--n", "50", "--omega", "-0.2"),
+        ("simulate", "--n", "50", "--omega", "1", "--trials", "100"),
+    ):
+        code, out, err = run(capsys, *argv, "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD)
+        assert code == 1
+        assert out == ""
+        assert "omega must be in (0, 1)" in err
+
+
+def test_unconverged_integrals_are_numeric_exit(monkeypatch, capsys):
+    real_quad = exceedance._quad
+    monkeypatch.setattr(exceedance, "_quad",
+                        lambda *args, **kwargs: (real_quad(*args, **kwargs)[0], 1e-6))
+    code, out, err = run(
+        capsys, "power", "--f-spec", '{"family":"normal","params":{"mean":0.5432,"sd":1.1}}',
+        "--g-spec", NORMAL_STD, "--n", "50",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure:")
+
+
+def test_json_key_order(capsys):
+    specs = ("--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD)
+    design = ["m", "n", "omega"]
+    _, out, _ = run(capsys, "power", *specs, "--n", "50")
+    data = json.loads(out)
+    assert list(data) == ["design", "approx_power", "mu_n", "sigma2_n", "method",
+                          "low_confidence", "degenerate_variance"]
+    assert list(data["design"]) == design
+    _, out, _ = run(capsys, "simulate", *specs, "--n", "20", "--trials", "200")
+    data = json.loads(out)
+    assert list(data) == ["design", "rejection_rate", "standard_error", "test_used",
+                          "trials", "fell_back_to_normal"]
+    assert list(data["design"]) == design
+    _, out, _ = run(capsys, "check-identities", *specs)
+    assert list(json.loads(out)) == ["complement_residual", "nested_residual", "p_x_ge_y",
+                                     "int_g2_f", "int_1mf2_g", "quadrature_error_bound"]
+    _, out, _ = run(capsys, "optimal-design", *specs, "--n", "50")
+    data = json.loads(out)
+    assert list(data) == ["optimal", "optimal_power", "deficiency_at_half", "epsilon",
+                          "power_curve"]
+    assert list(data["optimal"]) == design
+    assert list(data["power_curve"][0]) == ["omega", "m", "n", "power"]

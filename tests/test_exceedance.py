@@ -5,6 +5,9 @@ import pytest
 from scipy import stats
 
 from wmwdesign import (
+    Design,
+    PowerQuery,
+    QuadratureAccuracyError,
     chi_square,
     check_identities,
     exponential,
@@ -13,7 +16,9 @@ from wmwdesign import (
     prob_x_ge_y,
     second_moment_integrals,
     student_t,
+    wmw_power,
 )
+from wmwdesign import exceedance
 
 
 def normal_exceedance_oracle(mu1, sd1, mu2, sd2):
@@ -138,3 +143,18 @@ def test_nested_identity_against_direct_nested_quadrature():
     rhs, _ = integrate.quad(rhs_term, lo, hi, epsabs=1e-9, limit=200)
     s = second_moment_integrals(F, G)
     assert s.int_1mf2_g == pytest.approx(rhs, abs=1e-7)
+
+
+def test_unconverged_integrals_raise(monkeypatch):
+    # a pair no other test uses, so no cached result hides the failure
+    F, G = normal(0.4321, 1.3), normal(0.0, 0.7)
+    real_quad = exceedance._quad
+    monkeypatch.setattr(exceedance, "_quad",
+                        lambda *args, **kwargs: (real_quad(*args, **kwargs)[0], 1e-6))
+    with pytest.raises(QuadratureAccuracyError) as exc:
+        second_moment_integrals(F, G)
+    assert exc.value.achieved_bound == 1e-6
+    with pytest.raises(QuadratureAccuracyError):
+        prob_x_ge_y(F, G)
+    with pytest.raises(QuadratureAccuracyError):
+        wmw_power(PowerQuery(F, G, Design(20, 20)))

@@ -41,6 +41,12 @@ def test_design_from_total_rounds_to_realizable():
     assert Design.from_total(10, 0.99) == Design(9, 1)
 
 
+@pytest.mark.parametrize("omega", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_design_from_total_rejects_omega_outside_unit_interval(omega):
+    with pytest.raises(ValueError, match="omega must be in"):
+        Design.from_total(50, omega)
+
+
 def test_null_moments_minimal_case():
     assert null_moments(Design(1, 1)) == (0.5, 0.25)
 

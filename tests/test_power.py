@@ -8,6 +8,7 @@ from wmwdesign import (
     PowerQuery,
     SimulationPlan,
     TWO_SIDED,
+    chi_square,
     deficiency_general,
     deficiency_symmetric,
     exponential,
@@ -134,3 +135,25 @@ def test_invalid_query_parameters():
         PowerQuery(F, F, Design(5, 5), side="both")
     with pytest.raises(ValueError):
         welch_power(0, -1, 0, 1, Design(5, 5))
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.0, 1.5, -0.2])
+def test_deficiency_searches_reject_omega_outside_unit_interval(omega):
+    # the search used to clamp every split to m = 0 or n = 0, skip them all
+    # and report an AllocationSearchError after scanning up to 20 N
+    with pytest.raises(ValueError, match="omega must be in"):
+        deficiency_general(normal(0.75, 1), normal(0, 1), 50, omega)
+    with pytest.raises(ValueError, match="omega must be in"):
+        welch_deficiency(0.75, 1.0, 0.0, 1.0, 50, omega)
+
+
+@pytest.mark.parametrize("F,G,degenerate", [
+    (normal(0.75, 1), normal(0, 1), False),
+    (chi_square(3), chi_square(5), False),
+    (exponential(1.0), exponential(1.0, shift=100.0), True),
+])
+def test_approx_power_is_python_float(F, G, degenerate):
+    for side in ("one_sided_upper", TWO_SIDED):
+        res = wmw_power(PowerQuery(F, G, Design(10, 10), side=side))
+        assert res.degenerate_variance is degenerate
+        assert type(res.approx_power) is float
