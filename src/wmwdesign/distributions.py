@@ -4,17 +4,24 @@ Every distribution is described by an immutable :class:`DistributionSpec`
 holding a family name, its parameters, and an additive shift.  A spec with
 shift ``a`` describes the variate ``X_base + a``, so a pure location
 alternative is obtained by shifting one of two otherwise identical specs.
+
+Densities, distribution functions and quantiles are evaluated by
+:class:`_Kernel`, which repeats scipy.stats' formulas and support masks with
+numpy and scipy.special ufuncs, so each value is bitwise equal to the frozen
+scipy.stats object's (checked at scipy 1.17.1) at a small fraction of its
+per-call cost.  Sampling, mean and sd still go through scipy.stats.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 
 class ParameterError(ValueError):
@@ -79,23 +86,23 @@ class DistributionSpec:
     # -- probability functions -------------------------------------------
 
     def pdf(self, x):
-        return _frozen(self).pdf(np.asarray(x, dtype=float) - self.shift)
+        return _kernel(self).pdf(np.asarray(x, dtype=float) - self.shift)
 
     def cdf(self, x):
-        return _frozen(self).cdf(np.asarray(x, dtype=float) - self.shift)
+        return _kernel(self).cdf(np.asarray(x, dtype=float) - self.shift)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        if np.any(p <= 0) or np.any(p >= 1):
+        if (p <= 0).any() or (p >= 1).any():
             raise ValueError("quantile requires 0 < p < 1")
-        return _frozen(self).ppf(p) + self.shift
+        return _kernel(self).ppf(p) + self.shift
 
     def sample(self, rng: np.random.Generator, k):
         """Draw ``k`` variates (int or shape tuple) using ``rng``."""
         return _frozen(self).rvs(size=k, random_state=rng) + self.shift
 
     def support(self) -> tuple[float, float]:
-        lo, hi = _frozen(self).support()
+        lo, hi = _kernel(self).support()
         return lo + self.shift, hi + self.shift
 
     def mean(self) -> float:
@@ -144,9 +151,129 @@ class DistributionSpec:
         return cls.from_dict(data)
 
 
+_SQRT_2PI = np.sqrt(2 * np.pi)  # scipy.stats' _norm_pdf_C
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """scipy.stats' evaluation of one unshifted base variate, without a frozen object.
+
+    ``density``, ``distribution`` and ``inverse`` are the family's standard
+    ``_pdf``, ``_cdf`` and ``_ppf`` with the shape parameters bound, written
+    in scipy's operations and order (``z * z`` for a square, numpy ufuncs,
+    never ``math``).  The methods standardise and mask the way
+    ``rv_continuous`` does: z = (x - loc) / scale; the pdf is zero outside
+    [lower, upper] (outside (lower, upper) when ``closed`` is false); the cdf
+    is zero at and below ``lower`` and one at and above ``upper``; NaN stays
+    NaN.  Creating a frozen scipy object costs time and leaves memory
+    resident, so only sampling and moments use one.
+    """
+
+    loc: float
+    scale: float
+    lower: float
+    upper: float
+    closed: bool
+    density: Callable
+    distribution: Callable
+    inverse: Callable
+
+    def pdf(self, x):
+        z = (x - self.loc) / self.scale
+        if self.closed:
+            inside = (self.lower <= z) & (z <= self.upper)
+        else:
+            inside = (self.lower < z) & (z < self.upper)
+        return _place(z, inside, 0.0, lambda z: self.density(z) / self.scale)
+
+    def cdf(self, x):
+        z = (x - self.loc) / self.scale
+        inside = (self.lower < z) & (z < self.upper)
+        return _place(z, inside, (z >= self.upper) * 1.0, self.distribution)
+
+    def ppf(self, q):
+        inside = (0 < q) & (q < 1)
+        return _place(q, inside, np.nan, lambda q: self.inverse(q) * self.scale + self.loc)
+
+    def support(self):
+        return (np.float64(self.lower * self.scale + self.loc),
+                np.float64(self.upper * self.scale + self.loc))
+
+
+def _place(z, inside, fill, formula):
+    """``formula`` where ``inside``, NaN where z is NaN, ``fill`` elsewhere.
+
+    A scalar takes Python branches: on a 0-d array, masking and placing cost
+    several times the formula itself.
+    """
+    if z.ndim == 0:
+        if inside:
+            return formula(z)
+        return np.float64(np.nan if np.isnan(z) else fill)
+    out = np.where(np.isnan(z), np.nan, fill)
+    out[inside] = formula(z[inside])
+    return out
+
+
+@lru_cache(maxsize=256)
+def _kernel(spec: DistributionSpec) -> _Kernel:
+    """Evaluation kernel for the unshifted base variate (see :class:`_Kernel`)."""
+    p = dict(spec.params)
+    if spec.family == "normal":
+        return _Kernel(
+            p["mean"], p["sd"], -np.inf, np.inf, True,
+            lambda z: np.exp(-(z * z) / 2.0) / _SQRT_2PI,
+            special.ndtr,
+            special.ndtri,
+        )
+    if spec.family == "exponential":
+        return _Kernel(
+            0.0, 1.0 / p["rate"], 0.0, np.inf, True,
+            lambda z: np.exp(-z),
+            lambda z: -special.expm1(-z),
+            lambda q: -special.log1p(-q),
+        )
+    if spec.family == "lognormal":
+        s = p["logSd"]
+        two_s2 = 2 * (s * s)
+
+        def density(z):
+            log_z = np.log(z)
+            return np.exp(-(log_z * log_z) / two_s2 - np.log(s * z * _SQRT_2PI))
+
+        return _Kernel(
+            0.0, np.exp(p["logMean"]), 0.0, np.inf, False,
+            density,
+            lambda z: special.ndtr(np.log(z) / s),
+            lambda q: np.exp(s * special.ndtri(q)),
+        )
+    if spec.family == "chisquare":
+        df = p["df"]
+        power = df / 2. - 1
+        log_norm = special.gammaln(df / 2.)
+        log_2_half_df = (np.log(2) * df) / 2.
+        return _Kernel(
+            0.0, 1.0, 0.0, np.inf, True,
+            lambda z: np.exp(special.xlogy(power, z) - z / 2. - log_norm - log_2_half_df),
+            lambda z: special.chdtr(df, z),
+            lambda q: 2 * special.gammaincinv(df / 2, q),
+        )
+    if spec.family == "studentt":
+        df = p["df"]
+        log_norm = np.log(special.poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
+        half_df1 = (df + 1) / 2
+        return _Kernel(
+            p["location"], p["scale"], -np.inf, np.inf, True,
+            lambda z: np.exp(log_norm - half_df1 * np.log1p(z * z / df)),
+            lambda z: special.stdtr(df, z),
+            lambda q: special.stdtrit(df, q),
+        )
+    raise AssertionError(spec.family)
+
+
 @lru_cache(maxsize=256)
 def _frozen(spec: DistributionSpec):
-    """scipy frozen distribution for the unshifted base variate."""
+    """scipy frozen distribution for the unshifted base variate (sampling and moments)."""
     p = dict(spec.params)
     if spec.family == "normal":
         return stats.norm(loc=p["mean"], scale=p["sd"])

@@ -7,7 +7,7 @@ versioned so CSV outputs can be traced to a definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .distributions import DistributionSpec, chi_square, exponential, log_normal, normal, student_t
 from .power import ONE_SIDED_UPPER

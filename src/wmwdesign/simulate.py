@@ -19,7 +19,7 @@ from scipy import stats
 from .distributions import DistributionSpec
 from .exact_null import MAX_TABLE_ENTRIES, TableSizeError, build_table, critical_value
 from .moments import Design, null_moments
-from .power import ONE_SIDED_UPPER, TWO_SIDED, _check_alpha, _check_side
+from .power import ONE_SIDED_UPPER, _check_alpha, _check_side
 
 TESTS = ("wmw_exact", "wmw_normal", "t_hom", "t_het")
 BLOCK_TRIALS = 2048
@@ -79,11 +79,20 @@ def _u_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return is_x @ np.arange(m + n) - m * (m - 1) // 2
 
 
-def _thread_count() -> int:
+def _usable_cpus() -> int:
     try:
-        return max(1, int(os.environ.get("WMWDESIGN_THREADS", "1")))
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _thread_count(blocks: int) -> int:
+    """WMWDESIGN_THREADS, clamped to the usable CPUs and to the block count."""
+    try:
+        wanted = int(os.environ.get("WMWDESIGN_THREADS", "1"))
     except ValueError:
-        return 1
+        wanted = 1
+    return max(1, min(wanted, _usable_cpus(), blocks))
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -161,8 +170,8 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
         blocks.append((len(blocks), b))
         done += b
 
-    threads = _thread_count()
-    if threads > 1 and len(blocks) > 1:
+    threads = _thread_count(len(blocks))
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = list(pool.map(lambda blk: run_block(*blk), blocks))
     else:

@@ -13,6 +13,7 @@ from wmwdesign import (
     normal,
     student_t,
 )
+from wmwdesign import distributions
 
 ALL_FAMILIES = [
     normal(0.0, 1.0),
@@ -144,3 +145,85 @@ def test_json_parse_errors_name_the_field():
 def test_json_family_aliases():
     spec = DistributionSpec.from_json('{"family": "chi_square", "params": {"df": 5}}')
     assert spec == chi_square(5.0)
+
+
+# -- evaluation kernels against scipy.stats -----------------------------
+#
+# DistributionSpec evaluates pdf, cdf and quantiles with its own kernels,
+# which repeat scipy.stats' formulas and masks; the frozen scipy object,
+# shifted by hand, is the oracle, and every value must be bitwise equal.
+
+KERNEL_SPECS = [
+    normal(0.75, 2.0),
+    normal(-3.0, 1.0 / 3.0, shift=0.3),
+    exponential(0.75),
+    exponential(1.3, shift=-2.1),
+    log_normal(0.0, 1.0),
+    log_normal(0.4, 0.25, shift=1.7),
+    chi_square(0.5),
+    chi_square(1.0),
+    chi_square(2.0),
+    chi_square(14.0),
+    chi_square(5.0, shift=1.5),
+    student_t(3.0, 17.0, 2.8),
+    student_t(1.0, shift=-4.0),
+]
+
+LEVELS = [1e-15, 1e-12, 0.5, 1 - 1e-12, 1 - 1e-15]
+
+
+def _kernel_id(spec):
+    return f"{spec.family}{tuple(v for _, v in spec.params)}+{spec.shift}"
+
+
+def _points(spec):
+    """Interior points, the support edge and its neighbours, ±inf and NaN."""
+    frozen = distributions._frozen(spec)
+    interior = frozen.ppf(np.linspace(0.001, 0.999, 41)) + spec.shift
+    edge = spec.shift  # the lower edge of the three families bounded below
+    near = [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf),
+            edge - 1.0, edge + 1e-300, 0.0, -0.0]
+    return np.concatenate([interior, near, [np.inf, -np.inf, np.nan]])
+
+
+def _assert_same(mine, ref, points):
+    with np.errstate(all="ignore"):
+        np.testing.assert_array_equal(mine(points), ref(points))
+        for x in points:
+            got, want = mine(x), ref(x)
+            np.testing.assert_array_equal(got, want)
+            assert type(got) is type(want)
+
+
+@pytest.mark.parametrize("method", ["pdf", "cdf"])
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_kernel_id)
+def test_pdf_cdf_bitwise_equal_to_scipy(spec, method):
+    reference = getattr(distributions._frozen(spec), method)
+    _assert_same(getattr(spec, method),
+                 lambda x: reference(np.asarray(x, dtype=float) - spec.shift),
+                 _points(spec))
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_kernel_id)
+def test_quantile_bitwise_equal_to_scipy(spec):
+    frozen = distributions._frozen(spec)
+    levels = np.concatenate([LEVELS, np.linspace(0.01, 0.99, 25), [np.nan]])
+    _assert_same(spec.quantile, lambda p: frozen.ppf(np.asarray(p, dtype=float)) + spec.shift,
+                 levels)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_kernel_id)
+def test_support_bitwise_equal_to_scipy(spec):
+    lo, hi = distributions._frozen(spec).support()
+    got = spec.support()
+    np.testing.assert_array_equal(got, (lo + spec.shift, hi + spec.shift))
+    assert type(got[0]) is type(lo + spec.shift)
+
+
+def test_chi_square_density_at_zero_by_df():
+    # the lower edge is inside the pdf's support: infinite below df = 2,
+    # one half at df = 2, zero above
+    assert chi_square(1.0).pdf(0.0) == np.inf
+    assert chi_square(2.0).pdf(0.0) == 0.5
+    assert chi_square(14.0).pdf(0.0) == 0.0
+    assert log_normal(0.0, 1.0).pdf(0.0) == 0.0  # open at its edge, as in scipy

@@ -18,7 +18,7 @@ from wmwdesign import (
     student_t,
     wmw_power,
 )
-from wmwdesign import exceedance
+from wmwdesign import distributions, exceedance
 
 
 def normal_exceedance_oracle(mu1, sd1, mu2, sd2):
@@ -158,3 +158,62 @@ def test_unconverged_integrals_raise(monkeypatch):
         prob_x_ge_y(F, G)
     with pytest.raises(QuadratureAccuracyError):
         wmw_power(PowerQuery(F, G, Design(20, 20)))
+
+
+def _scipy_stats_methods(monkeypatch):
+    """Evaluate DistributionSpec through frozen scipy.stats objects, the old path."""
+    frozen = distributions._frozen
+
+    def quantile(self, p):
+        p = np.asarray(p, dtype=float)
+        if np.any(p <= 0) or np.any(p >= 1):
+            raise ValueError("quantile requires 0 < p < 1")
+        return frozen(self).ppf(p) + self.shift
+
+    def support(self):
+        lo, hi = frozen(self).support()
+        return lo + self.shift, hi + self.shift
+
+    spec = distributions.DistributionSpec
+    monkeypatch.setattr(spec, "pdf", lambda self, x: frozen(self).pdf(
+        np.asarray(x, dtype=float) - self.shift))
+    monkeypatch.setattr(spec, "cdf", lambda self, x: frozen(self).cdf(
+        np.asarray(x, dtype=float) - self.shift))
+    monkeypatch.setattr(spec, "quantile", quantile)
+    monkeypatch.setattr(spec, "support", support)
+
+
+KERNEL_PAIRS = [
+    (normal(0.75, 2.0), normal(0.0, 1.0)),
+    (normal(0.75, 1.0 / 3.0), normal(0.0, 1.0)),
+    (student_t(3.0, 17.0, 2.8), chi_square(14.0)),
+    (log_normal(0.0, 1.0), exponential(0.75)),
+    (exponential(1.0, shift=0.5), exponential(1.0)),  # kink at the shifted origin
+    (chi_square(5.0, shift=1.5), chi_square(5.0)),
+]
+
+
+def test_integrals_bitwise_equal_to_scipy_stats_path(monkeypatch):
+    # the kernels keep the quadrature nodes and every integrand value, so
+    # all four fields of the summary must be equal, not merely close
+    second_moment_integrals.cache_clear()
+    kernels = [second_moment_integrals(F, G) for F, G in KERNEL_PAIRS]
+    second_moment_integrals.cache_clear()
+    with monkeypatch.context() as patch:
+        _scipy_stats_methods(patch)
+        reference = [second_moment_integrals(F, G) for F, G in KERNEL_PAIRS]
+    second_moment_integrals.cache_clear()
+    for got, want in zip(kernels, reference):
+        assert got.p_x_ge_y == want.p_x_ge_y
+        assert got.int_g2_f == want.int_g2_f
+        assert got.int_1mf2_g == want.int_1mf2_g
+        assert got.quadrature_error_bound == want.quadrature_error_bound
+
+
+def test_cold_integrals_create_no_frozen_scipy_object():
+    # each frozen scipy.stats object leaves memory resident, so the
+    # quadrature path must not build one; specs no other test uses
+    F, G = student_t(4.25, 0.1234, 1.7), log_normal(0.0987, 0.6)
+    misses = distributions._frozen.cache_info().misses
+    second_moment_integrals(F, G)
+    assert distributions._frozen.cache_info().misses == misses

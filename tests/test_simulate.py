@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,9 +87,32 @@ def test_determinism_under_threads(monkeypatch):
     plan = SimulationPlan(normal(0.75, 1), normal(0, 1), Design(10, 10),
                           trials=9000, seed=42)
     serial = simulate_power(plan)
+    # four threads even where fewer CPUs are usable, so the pool always runs
+    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: 4)
     monkeypatch.setenv("WMWDESIGN_THREADS", "4")
     threaded = simulate_power(plan)
     assert serial == threaded
+
+
+def test_thread_count_clamped_to_cpus_and_blocks(monkeypatch):
+    # only the helper runs here: a huge value must never start a pool
+    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: 4)
+    monkeypatch.setenv("WMWDESIGN_THREADS", "64")
+    assert simulate_mod._thread_count(1000) == 4
+    assert simulate_mod._thread_count(3) == 3
+    assert simulate_mod._thread_count(1) == 1
+    for value in ("0", "-5", "many"):
+        monkeypatch.setenv("WMWDESIGN_THREADS", value)
+        assert simulate_mod._thread_count(1000) == 1
+    monkeypatch.delenv("WMWDESIGN_THREADS")
+    assert simulate_mod._thread_count(1000) == 1
+
+
+def test_usable_cpus_is_the_affinity_set(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert simulate_mod._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("WMWDESIGN_THREADS", "64")
+    assert simulate_mod._thread_count(1000) == min(64, simulate_mod._usable_cpus())
 
 
 def test_null_size_control_exact_rule():
