@@ -93,7 +93,7 @@ class DistributionSpec:
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        if (p <= 0).any() or (p >= 1).any():
+        if not ((p > 0) & (p < 1)).all():
             raise ValueError("quantile requires 0 < p < 1")
         return _kernel(self).ppf(p) + self.shift
 

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import DistributionSpec
-from .exceedance import second_moment_integrals
+from .exceedance import RESULT_TOL, second_moment_integrals
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,10 @@ def alt_moments(d: Design, F: DistributionSpec, G: DistributionSpec) -> MomentSu
 
     e1 = mn * p
     var1 = mn * (p - (m + n - 1) * p * p + (n - 1) * i1 + (m - 1) * i2)
-    clamped = var1 < 0.0
+    # For p in [0, 1], sum |d var1 / d(p, i1, i2)| <= mn(3N - 5), so integral
+    # errors within RESULT_TOL move var1 by at most mn(3N - 5) RESULT_TOL.  A
+    # var1 inside that band is zero to the contract, in either pair order.
+    clamped = var1 <= mn * (3 * (m + n) - 5) * RESULT_TOL
     if clamped:
         var1 = 0.0
 

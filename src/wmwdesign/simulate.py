@@ -1,16 +1,13 @@
 """Monte Carlo estimation of the finite-sample power of the WMW and t tests.
 
-Trials are partitioned into fixed-size blocks, each driven by an independent
-substream spawned from (seed, block index).  The rejection count is a sum
-over blocks, so results are identical under any execution order or degree of
-parallelism.
+Trials are partitioned into fixed-size blocks that run in order in one loop.
+Each block draws from an independent substream spawned from (seed, block
+index), so a plan's result is fixed by its seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +37,8 @@ class SimulationPlan:
         _check_side(self.side)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -79,33 +78,23 @@ def _u_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return is_x @ np.arange(m + n) - m * (m - 1) // 2
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _thread_count(blocks: int) -> int:
-    """WMWDESIGN_THREADS, clamped to the usable CPUs and to the block count."""
-    try:
-        wanted = int(os.environ.get("WMWDESIGN_THREADS", "1"))
-    except ValueError:
-        wanted = 1
-    return max(1, min(wanted, _usable_cpus(), blocks))
-
-
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
 def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationResult:
-    """Fraction of Monte Carlo trials in which the chosen test rejects."""
+    """Fraction of Monte Carlo trials in which the chosen test rejects.
+
+    Each test yields a per-trial statistic and a critical value: a one-sided
+    test rejects when stat >= crit, a two-sided one when |stat| >= crit.
+    """
     if test not in TESTS:
         raise ValueError(f"test must be one of {TESTS}, got {test!r}")
     m, n = plan.design.m, plan.design.n
     if test in ("t_hom", "t_het") and min(m, n) < 2:
         raise ValueError(f"{test} needs at least 2 observations per group, got m={m}, n={n}")
+    two_sided = plan.side != ONE_SIDED_UPPER
+    level = 1.0 - plan.alpha / 2.0 if two_sided else 1.0 - plan.alpha
     fell_back = False
 
     if test == "wmw_exact":
@@ -114,69 +103,42 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
         except TableSizeError:
             test, fell_back = "wmw_normal", True
         else:
-            cv_side = "upper" if plan.side == ONE_SIDED_UPPER else "two_sided"
-            crit = critical_value(table, plan.alpha, cv_side)
-
-    if test != "wmw_exact":
+            # Centred at mn/2, exactly in float64.  The bound c exceeds mn/2,
+            # so |U - mn/2| >= c - mn/2 is U >= c or U <= mn - c, and the
+            # degenerate bound mn + 1 lies beyond every U.
+            cv = critical_value(table, plan.alpha, "two_sided" if two_sided else "upper")
+            crit = cv.value - m * n / 2
+    if test == "wmw_normal":
         e0, var0 = null_moments(plan.design)
         sd0 = math.sqrt(var0)
-        z1a = stats.norm.ppf(1.0 - plan.alpha)
-        z1a2 = stats.norm.ppf(1.0 - plan.alpha / 2.0)
-        t1a = stats.t.ppf(1.0 - plan.alpha, m + n - 2)
+        crit = stats.norm.ppf(level)
+    elif test == "t_hom":
+        crit = stats.t.ppf(level, m + n - 2)
 
-    def run_block(block: int, b: int) -> int:
+    rejections = 0
+    for block, done in enumerate(range(0, plan.trials, BLOCK_TRIALS)):
+        b = min(BLOCK_TRIALS, plan.trials - done)
         rng = _block_rng(plan.seed, block)
         X = plan.F.sample(rng, (b, m))
         Y = plan.G.sample(rng, (b, n))
-
-        if test in ("wmw_exact", "wmw_normal"):
-            U = _u_matrix(X, Y)
-            if test == "wmw_exact":
-                if crit.degenerate:
-                    reject = np.zeros(b, dtype=bool)
-                elif plan.side == ONE_SIDED_UPPER:
-                    reject = U >= crit.value
-                else:
-                    reject = (U >= crit.value) | (U <= m * n - crit.value)
-            else:
-                z = (U - e0) / sd0
-                reject = z >= z1a if plan.side == ONE_SIDED_UPPER else np.abs(z) >= z1a2
+        if test == "wmw_exact":
+            stat = _u_matrix(X, Y) - m * n / 2
+        elif test == "wmw_normal":
+            stat = (_u_matrix(X, Y) - e0) / sd0
         else:
             xbar, ybar = X.mean(axis=1), Y.mean(axis=1)
             vx, vy = X.var(axis=1, ddof=1), Y.var(axis=1, ddof=1)
             if test == "t_hom":
                 sp2 = ((m - 1) * vx + (n - 1) * vy) / (m + n - 2)
-                t = (xbar - ybar) / np.sqrt(sp2 * (1.0 / m + 1.0 / n))
-                if plan.side == ONE_SIDED_UPPER:
-                    reject = t >= t1a
-                else:
-                    reject = np.abs(t) >= stats.t.ppf(1.0 - plan.alpha / 2.0, m + n - 2)
+                stat = (xbar - ybar) / np.sqrt(sp2 * (1.0 / m + 1.0 / n))
             else:  # t_het: Welch statistic with per-trial degrees of freedom
                 v1, v2 = vx / m, vy / n
                 se2 = v1 + v2
-                df = se2 * se2 / (v1 * v1 / (m - 1) + v2 * v2 / (n - 1))
-                t = (xbar - ybar) / np.sqrt(se2)
-                if plan.side == ONE_SIDED_UPPER:
-                    reject = t >= stats.t.ppf(1.0 - plan.alpha, df)
-                else:
-                    reject = np.abs(t) >= stats.t.ppf(1.0 - plan.alpha / 2.0, df)
-
-        return int(reject.sum())
-
-    blocks = []
-    done = 0
-    while done < plan.trials:
-        b = min(BLOCK_TRIALS, plan.trials - done)
-        blocks.append((len(blocks), b))
-        done += b
-
-    threads = _thread_count(len(blocks))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(lambda blk: run_block(*blk), blocks))
-    else:
-        counts = [run_block(*blk) for blk in blocks]
-    rejections = sum(counts)
+                stat = (xbar - ybar) / np.sqrt(se2)
+                crit = stats.t.ppf(level, se2 * se2 / (v1 * v1 / (m - 1) + v2 * v2 / (n - 1)))
+        if two_sided:
+            stat = np.abs(stat)
+        rejections += int((stat >= crit).sum())
 
     rate = rejections / plan.trials
     se = math.sqrt(rate * (1.0 - rate) / plan.trials)

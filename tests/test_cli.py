@@ -195,6 +195,16 @@ def test_simulate_t_test_group_of_one_is_usage_error(capsys):
     assert "at least 2" in err
 
 
+def test_simulate_negative_seed_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD,
+        "--n", "20", "--trials", "100", "--seed", "-1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "seed" in err
+
+
 def test_reproduce_is_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

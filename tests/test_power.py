@@ -149,6 +149,7 @@ def test_deficiency_searches_reject_omega_outside_unit_interval(omega):
     (normal(0.75, 1), normal(0, 1), False),
     (chi_square(3), chi_square(5), False),
     (exponential(1.0), exponential(1.0, shift=100.0), True),
+    (exponential(1.0, shift=100.0), exponential(1.0), True),
 ])
 def test_approx_power_is_python_float(F, G, degenerate):
     for side in ("one_sided_upper", TWO_SIDED):

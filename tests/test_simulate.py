@@ -1,8 +1,7 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 import wmwdesign.simulate as simulate_mod
 from wmwdesign import (
@@ -83,36 +82,91 @@ def test_determinism_same_seed():
     assert a == b
 
 
-def test_determinism_under_threads(monkeypatch):
-    plan = SimulationPlan(normal(0.75, 1), normal(0, 1), Design(10, 10),
-                          trials=9000, seed=42)
-    serial = simulate_power(plan)
-    # four threads even where fewer CPUs are usable, so the pool always runs
-    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: 4)
-    monkeypatch.setenv("WMWDESIGN_THREADS", "4")
-    threaded = simulate_power(plan)
-    assert serial == threaded
+def _oracle_rejections(plan, test):
+    """Rejections written out per (test, side), on the streams of (seed, block).
+
+    U comes from the broadcast count, the blocks from their own SeedSequence.
+    """
+    m, n, alpha = plan.design.m, plan.design.n, plan.alpha
+    upper = plan.side == "one_sided_upper"
+    count = 0
+    for block, start in enumerate(range(0, plan.trials, 2048)):
+        b = min(2048, plan.trials - start)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=plan.seed, spawn_key=(block,)))
+        X = plan.F.sample(rng, (b, m))
+        Y = plan.G.sample(rng, (b, n))
+        if test in ("wmw_exact", "wmw_normal"):
+            U = (X[:, :, None] >= Y[:, None, :]).sum(axis=(1, 2))
+            if test == "wmw_exact":
+                crit = critical_value(build_table(m, n), alpha, "upper" if upper else "two_sided")
+                if crit.degenerate:
+                    reject = np.zeros(b, dtype=bool)
+                elif upper:
+                    reject = U >= crit.value
+                else:
+                    reject = (U >= crit.value) | (U <= m * n - crit.value)
+            else:
+                z = (U - m * n / 2.0) / np.sqrt(m * n * (m + n + 1) / 12.0)
+                if upper:
+                    reject = z >= stats.norm.ppf(1.0 - alpha)
+                else:
+                    reject = np.abs(z) >= stats.norm.ppf(1.0 - alpha / 2.0)
+        else:
+            xbar, ybar = X.mean(axis=1), Y.mean(axis=1)
+            vx, vy = X.var(axis=1, ddof=1), Y.var(axis=1, ddof=1)
+            if test == "t_hom":
+                sp2 = ((m - 1) * vx + (n - 1) * vy) / (m + n - 2)
+                t = (xbar - ybar) / np.sqrt(sp2 * (1.0 / m + 1.0 / n))
+                if upper:
+                    reject = t >= stats.t.ppf(1.0 - alpha, m + n - 2)
+                else:
+                    reject = np.abs(t) >= stats.t.ppf(1.0 - alpha / 2.0, m + n - 2)
+            else:
+                v1, v2 = vx / m, vy / n
+                se2 = v1 + v2
+                df = se2 * se2 / (v1 * v1 / (m - 1) + v2 * v2 / (n - 1))
+                t = (xbar - ybar) / np.sqrt(se2)
+                if upper:
+                    reject = t >= stats.t.ppf(1.0 - alpha, df)
+                else:
+                    reject = np.abs(t) >= stats.t.ppf(1.0 - alpha / 2.0, df)
+        count += int(reject.sum())
+    return count
 
 
-def test_thread_count_clamped_to_cpus_and_blocks(monkeypatch):
-    # only the helper runs here: a huge value must never start a pool
-    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: 4)
-    monkeypatch.setenv("WMWDESIGN_THREADS", "64")
-    assert simulate_mod._thread_count(1000) == 4
-    assert simulate_mod._thread_count(3) == 3
-    assert simulate_mod._thread_count(1) == 1
-    for value in ("0", "-5", "many"):
-        monkeypatch.setenv("WMWDESIGN_THREADS", value)
-        assert simulate_mod._thread_count(1000) == 1
-    monkeypatch.delenv("WMWDESIGN_THREADS")
-    assert simulate_mod._thread_count(1000) == 1
+_ORACLE_CASES = {
+    # two full blocks and a partial one of 5 trials
+    "partial_block": (Design(10, 12), 0.05, 2 * 2048 + 5),
+    # size 1/6 per tail exceeds alpha: no rejection region on either side
+    "degenerate_2x2": (Design(2, 2), 0.05, 300),
+    # degenerate two-sided only: both tails together have size 1/3 > 0.3
+    "degenerate_1x5": (Design(1, 5), 0.3, 300),
+}
 
 
-def test_usable_cpus_is_the_affinity_set(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert simulate_mod._usable_cpus() == len(os.sched_getaffinity(0))
-    monkeypatch.setenv("WMWDESIGN_THREADS", "64")
-    assert simulate_mod._thread_count(1000) == min(64, simulate_mod._usable_cpus())
+@pytest.mark.parametrize("test,side,case", [
+    (test, side, case)
+    for test in simulate_mod.TESTS
+    for side in ("one_sided_upper", TWO_SIDED)
+    for case, (design, _, _) in sorted(_ORACLE_CASES.items())
+    if not (test.startswith("t_") and min(design.m, design.n) < 2)  # t tests need two
+])
+def test_rejection_rule_matches_per_case_oracle(test, side, case):
+    design, alpha, trials = _ORACLE_CASES[case]
+    plan = SimulationPlan(normal(0.75, 1), normal(0, 1), design, alpha, side,
+                          trials=trials, seed=314)
+    if case.startswith("degenerate") and test == "wmw_exact":
+        cv_side = "upper" if side == "one_sided_upper" else "two_sided"
+        degenerate = critical_value(build_table(design.m, design.n), alpha, cv_side).degenerate
+        assert degenerate is (case == "degenerate_2x2" or side == TWO_SIDED)
+    res = simulate_power(plan, test=test)
+    assert res.rejection_rate == _oracle_rejections(plan, test) / trials
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+def test_plan_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        SimulationPlan(normal(0, 1), normal(0, 1), Design(5, 5), trials=10, seed=seed)
 
 
 def test_null_size_control_exact_rule():
@@ -148,11 +202,13 @@ def test_standard_error_definition():
 
 def test_fallback_to_normal_rule_when_table_too_large(monkeypatch):
     monkeypatch.setattr(simulate_mod, "MAX_TABLE_ENTRIES", 50)
-    plan = SimulationPlan(normal(0.75, 1), normal(0, 1), Design(10, 10),
-                          trials=1000, seed=1)
-    res = simulate_power(plan, test="wmw_exact")
-    assert res.fell_back_to_normal
-    assert res.test_used == "wmw_normal"
+    for side in ("one_sided_upper", TWO_SIDED):
+        plan = SimulationPlan(normal(0.75, 1), normal(0, 1), Design(10, 10), side=side,
+                              trials=1000, seed=1)
+        res = simulate_power(plan, test="wmw_exact")
+        assert res.fell_back_to_normal
+        assert res.test_used == "wmw_normal"
+        assert res.rejection_rate == _oracle_rejections(plan, "wmw_normal") / plan.trials
 
 
 def test_invalid_test_name():
