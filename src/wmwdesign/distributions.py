@@ -5,11 +5,12 @@ holding a family name, its parameters, and an additive shift.  A spec with
 shift ``a`` describes the variate ``X_base + a``, so a pure location
 alternative is obtained by shifting one of two otherwise identical specs.
 
-Densities, distribution functions and quantiles are evaluated by
-:class:`_Kernel`, which repeats scipy.stats' formulas and support masks with
-numpy and scipy.special ufuncs, so each value is bitwise equal to the frozen
-scipy.stats object's (checked at scipy 1.17.1) at a small fraction of its
-per-call cost.  Sampling, mean and sd still go through scipy.stats.
+Each family is defined once, by its :class:`_Kernel`.  Densities,
+distribution functions and quantiles repeat scipy.stats' formulas and support
+masks with numpy and scipy.special ufuncs, and draws make the same
+``numpy.random.Generator`` calls as scipy.stats' samplers, so every value and
+every draw is bitwise equal to the frozen scipy.stats object's (checked at
+scipy 1.17.1) at a small fraction of its per-call cost.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 
 class ParameterError(ValueError):
@@ -99,17 +100,14 @@ class DistributionSpec:
 
     def sample(self, rng: np.random.Generator, k):
         """Draw ``k`` variates (int or shape tuple) using ``rng``."""
-        return _frozen(self).rvs(size=k, random_state=rng) + self.shift
+        kernel = _kernel(self)
+        # scipy's ``vals * scale + loc``, then the shift: folding loc + shift
+        # would round differently
+        return kernel.draw(rng, k) * kernel.scale + kernel.loc + self.shift
 
     def support(self) -> tuple[float, float]:
         lo, hi = _kernel(self).support()
         return lo + self.shift, hi + self.shift
-
-    def mean(self) -> float:
-        return _frozen(self).mean() + self.shift
-
-    def sd(self) -> float:
-        return _frozen(self).std()
 
     # -- JSON wire format ------------------------------------------------
 
@@ -156,7 +154,7 @@ _SQRT_2PI = np.sqrt(2 * np.pi)  # scipy.stats' _norm_pdf_C
 
 @dataclass(frozen=True)
 class _Kernel:
-    """scipy.stats' evaluation of one unshifted base variate, without a frozen object.
+    """scipy.stats' evaluation and sampling of one unshifted base variate.
 
     ``density``, ``distribution`` and ``inverse`` are the family's standard
     ``_pdf``, ``_cdf`` and ``_ppf`` with the shape parameters bound, written
@@ -165,8 +163,10 @@ class _Kernel:
     ``rv_continuous`` does: z = (x - loc) / scale; the pdf is zero outside
     [lower, upper] (outside (lower, upper) when ``closed`` is false); the cdf
     is zero at and below ``lower`` and one at and above ``upper``; NaN stays
-    NaN.  Creating a frozen scipy object costs time and leaves memory
-    resident, so only sampling and moments use one.
+    NaN.  ``draw(rng, size)`` is the family's standard ``_rvs``: the same
+    Generator call, so the caller's ``draw * scale + loc`` repeats
+    ``rv_continuous.rvs`` bit for bit.  Creating a frozen scipy object costs
+    time and leaves memory resident, so none is ever made.
     """
 
     loc: float
@@ -177,6 +177,7 @@ class _Kernel:
     density: Callable
     distribution: Callable
     inverse: Callable
+    draw: Callable
 
     def pdf(self, x):
         z = (x - self.loc) / self.scale
@@ -225,6 +226,7 @@ def _kernel(spec: DistributionSpec) -> _Kernel:
             lambda z: np.exp(-(z * z) / 2.0) / _SQRT_2PI,
             special.ndtr,
             special.ndtri,
+            lambda rng, size: rng.standard_normal(size),
         )
     if spec.family == "exponential":
         return _Kernel(
@@ -232,6 +234,7 @@ def _kernel(spec: DistributionSpec) -> _Kernel:
             lambda z: np.exp(-z),
             lambda z: -special.expm1(-z),
             lambda q: -special.log1p(-q),
+            lambda rng, size: rng.standard_exponential(size),
         )
     if spec.family == "lognormal":
         s = p["logSd"]
@@ -246,6 +249,7 @@ def _kernel(spec: DistributionSpec) -> _Kernel:
             density,
             lambda z: special.ndtr(np.log(z) / s),
             lambda q: np.exp(s * special.ndtri(q)),
+            lambda rng, size: np.exp(s * rng.standard_normal(size)),
         )
     if spec.family == "chisquare":
         df = p["df"]
@@ -257,6 +261,7 @@ def _kernel(spec: DistributionSpec) -> _Kernel:
             lambda z: np.exp(special.xlogy(power, z) - z / 2. - log_norm - log_2_half_df),
             lambda z: special.chdtr(df, z),
             lambda q: 2 * special.gammaincinv(df / 2, q),
+            lambda rng, size: rng.chisquare(df, size),
         )
     if spec.family == "studentt":
         df = p["df"]
@@ -267,24 +272,8 @@ def _kernel(spec: DistributionSpec) -> _Kernel:
             lambda z: np.exp(log_norm - half_df1 * np.log1p(z * z / df)),
             lambda z: special.stdtr(df, z),
             lambda q: special.stdtrit(df, q),
+            lambda rng, size: rng.standard_t(df, size=size),
         )
-    raise AssertionError(spec.family)
-
-
-@lru_cache(maxsize=256)
-def _frozen(spec: DistributionSpec):
-    """scipy frozen distribution for the unshifted base variate (sampling and moments)."""
-    p = dict(spec.params)
-    if spec.family == "normal":
-        return stats.norm(loc=p["mean"], scale=p["sd"])
-    if spec.family == "exponential":
-        return stats.expon(scale=1.0 / p["rate"])
-    if spec.family == "lognormal":
-        return stats.lognorm(s=p["logSd"], scale=np.exp(p["logMean"]))
-    if spec.family == "chisquare":
-        return stats.chi2(df=p["df"])
-    if spec.family == "studentt":
-        return stats.t(df=p["df"], loc=p["location"], scale=p["scale"])
     raise AssertionError(spec.family)
 
 

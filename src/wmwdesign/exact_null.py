@@ -44,17 +44,11 @@ class ExactNullTable:
         return tail / self.total
 
     def exact_mean(self) -> Fraction:
-        total = self.total
-        return sum(
-            (Fraction(c, total) * u for u, c in enumerate(self.counts)), Fraction(0)
-        )
+        return Fraction(sum(u * c for u, c in enumerate(self.counts)), self.total)
 
     def exact_variance(self) -> Fraction:
         mean = self.exact_mean()
-        total = self.total
-        second = sum(
-            (Fraction(c, total) * u * u for u, c in enumerate(self.counts)), Fraction(0)
-        )
+        second = Fraction(sum(u * u * c for u, c in enumerate(self.counts)), self.total)
         return second - mean * mean
 
 

@@ -35,8 +35,8 @@ class SimulationPlan:
     def __post_init__(self):
         _check_alpha(self.alpha)
         _check_side(self.side)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
 

@@ -13,7 +13,7 @@ from wmwdesign import (
     normal,
     student_t,
 )
-from wmwdesign import distributions
+from scipy_oracle import frozen
 
 ALL_FAMILIES = [
     normal(0.0, 1.0),
@@ -153,9 +153,10 @@ def test_json_family_aliases():
 
 # -- evaluation kernels against scipy.stats -----------------------------
 #
-# DistributionSpec evaluates pdf, cdf and quantiles with its own kernels,
-# which repeat scipy.stats' formulas and masks; the frozen scipy object,
-# shifted by hand, is the oracle, and every value must be bitwise equal.
+# DistributionSpec evaluates pdf, cdf and quantiles and draws samples with
+# its own kernels, which repeat scipy.stats' formulas, masks and Generator
+# calls; the frozen scipy object, shifted by hand, is the oracle, and every
+# value and every draw must be bitwise equal.
 
 KERNEL_SPECS = [
     normal(0.75, 2.0),
@@ -182,8 +183,7 @@ def _kernel_id(spec):
 
 def _points(spec):
     """Interior points, the support edge and its neighbours, ±inf and NaN."""
-    frozen = distributions._frozen(spec)
-    interior = frozen.ppf(np.linspace(0.001, 0.999, 41)) + spec.shift
+    interior = frozen(spec).ppf(np.linspace(0.001, 0.999, 41)) + spec.shift
     edge = spec.shift  # the lower edge of the three families bounded below
     near = [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf),
             edge - 1.0, edge + 1e-300, 0.0, -0.0]
@@ -202,7 +202,7 @@ def _assert_same(mine, ref, points):
 @pytest.mark.parametrize("method", ["pdf", "cdf"])
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_kernel_id)
 def test_pdf_cdf_bitwise_equal_to_scipy(spec, method):
-    reference = getattr(distributions._frozen(spec), method)
+    reference = getattr(frozen(spec), method)
     _assert_same(getattr(spec, method),
                  lambda x: reference(np.asarray(x, dtype=float) - spec.shift),
                  _points(spec))
@@ -210,18 +210,29 @@ def test_pdf_cdf_bitwise_equal_to_scipy(spec, method):
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_kernel_id)
 def test_quantile_bitwise_equal_to_scipy(spec):
-    frozen = distributions._frozen(spec)
     levels = np.concatenate([LEVELS, np.linspace(0.01, 0.99, 25)])  # NaN is rejected
-    _assert_same(spec.quantile, lambda p: frozen.ppf(np.asarray(p, dtype=float)) + spec.shift,
-                 levels)
+    _assert_same(spec.quantile,
+                 lambda p: frozen(spec).ppf(np.asarray(p, dtype=float)) + spec.shift, levels)
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_kernel_id)
 def test_support_bitwise_equal_to_scipy(spec):
-    lo, hi = distributions._frozen(spec).support()
+    lo, hi = frozen(spec).support()
     got = spec.support()
     np.testing.assert_array_equal(got, (lo + spec.shift, hi + spec.shift))
     assert type(got[0]) is type(lo + spec.shift)
+
+
+SAMPLE_SHAPES = [(2048, 5), (2048, 70), (7, 3), 1, (1,), (1, 1)]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_kernel_id)
+def test_sample_bitwise_equal_to_scipy(spec):
+    for seed, k in enumerate(SAMPLE_SHAPES):
+        got = spec.sample(np.random.default_rng(seed), k)
+        want = frozen(spec).rvs(size=k, random_state=np.random.default_rng(seed)) + spec.shift
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_chi_square_density_at_zero_by_df():

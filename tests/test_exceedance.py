@@ -19,6 +19,7 @@ from wmwdesign import (
     wmw_power,
 )
 from wmwdesign import distributions, exceedance
+from scipy_oracle import frozen
 
 
 def normal_exceedance_oracle(mu1, sd1, mu2, sd2):
@@ -161,8 +162,7 @@ def test_unconverged_integrals_raise(monkeypatch):
 
 
 def _scipy_stats_methods(monkeypatch):
-    """Evaluate DistributionSpec through frozen scipy.stats objects, the old path."""
-    frozen = distributions._frozen
+    """Evaluate DistributionSpec through frozen scipy.stats objects, the oracle."""
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
@@ -210,10 +210,15 @@ def test_integrals_bitwise_equal_to_scipy_stats_path(monkeypatch):
         assert got.quadrature_error_bound == want.quadrature_error_bound
 
 
-def test_cold_integrals_create_no_frozen_scipy_object():
-    # each frozen scipy.stats object leaves memory resident, so the
-    # quadrature path must not build one; specs no other test uses
+def test_cold_integrals_and_sampling_create_no_frozen_scipy_object(monkeypatch):
+    # each frozen scipy.stats object leaves memory resident, so neither the
+    # quadrature nor the sampling path may build one; specs no other test uses
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a frozen scipy.stats object was created")
+
+    monkeypatch.setattr(type(stats.norm()), "__init__", refuse)
     F, G = student_t(4.25, 0.1234, 1.7), log_normal(0.0987, 0.6)
-    misses = distributions._frozen.cache_info().misses
     second_moment_integrals(F, G)
-    assert distributions._frozen.cache_info().misses == misses
+    rng = np.random.default_rng(0)
+    for spec in (F, G, normal(0.0321, 1.9), exponential(0.613), chi_square(3.37)):
+        spec.sample(rng, (4, 3))

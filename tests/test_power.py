@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wmwdesign import (
     Design,
@@ -17,6 +17,9 @@ from wmwdesign import (
     welch_power,
     wmw_power,
 )
+from wmwdesign.scenarios import SCENARIOS
+
+CATALOGUE_PAIRS = list(dict.fromkeys((s.F, s.G) for group in SCENARIOS.values() for s in group))
 
 
 def test_null_power_equals_alpha():
@@ -52,6 +55,19 @@ def test_power_nondecreasing_in_total_n():
         for n in range(20, 101, 10)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(powers, powers[1:]))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(CATALOGUE_PAIRS), st.integers(1, 300), st.integers(1, 300))
+def test_reversal_duality(pair, m, n):
+    # (G, F) at n/m has p' = 1 - p, int F^2 g = i2 - 2p + 1 and
+    # int (1 - G)^2 f = 1 - 2p + i1, so var1 is unchanged and mu_n flips sign
+    F, G = pair
+    res = wmw_power(PowerQuery(F, G, Design(m, n), side=TWO_SIDED))
+    rev = wmw_power(PowerQuery(G, F, Design(n, m), side=TWO_SIDED))
+    assert rev.mu_n == pytest.approx(-res.mu_n, abs=1e-6)
+    assert rev.sigma2_n == pytest.approx(res.sigma2_n, abs=1e-6)
+    assert rev.approx_power == pytest.approx(res.approx_power, abs=1e-6)
 
 
 def test_small_groups_flagged_low_confidence():

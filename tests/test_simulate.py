@@ -163,10 +163,14 @@ def test_rejection_rule_matches_per_case_oracle(test, side, case):
     assert res.rejection_rate == _oracle_rejections(plan, test) / trials
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
-def test_plan_rejects_bad_seed(seed):
-    with pytest.raises(ValueError, match="seed"):
-        SimulationPlan(normal(0, 1), normal(0, 1), Design(5, 5), trials=10, seed=seed)
+@pytest.mark.parametrize("field,value", [
+    *(pytest.param("seed", v, id=str(v)) for v in (-1, 1.5, "7", None)),
+    *(pytest.param("trials", v, id=f"trials={v!r}") for v in (0, 100.5, "10", None)),
+])
+def test_plan_rejects_bad_seed(field, value):
+    kwargs = {"trials": 10, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=field):
+        SimulationPlan(normal(0, 1), normal(0, 1), Design(5, 5), **kwargs)
 
 
 def test_null_size_control_exact_rule():
