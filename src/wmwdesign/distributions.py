@@ -20,6 +20,7 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -87,15 +88,23 @@ class DistributionSpec:
     # -- probability functions -------------------------------------------
 
     def pdf(self, x):
-        return _kernel(self).pdf(np.asarray(x, dtype=float) - self.shift)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return scalar_functions(self).pdf(float(x))
+        return _kernel(self).pdf(x - self.shift)
 
     def cdf(self, x):
-        return _kernel(self).cdf(np.asarray(x, dtype=float) - self.shift)
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return scalar_functions(self).cdf(float(x))
+        return _kernel(self).cdf(x - self.shift)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
         if not ((p > 0) & (p < 1)).all():
             raise ValueError("quantile requires 0 < p < 1")
+        if p.ndim == 0:
+            return scalar_functions(self).quantile(float(p))
         return _kernel(self).ppf(p) + self.shift
 
     def sample(self, rng: np.random.Generator, k):
@@ -163,7 +172,8 @@ class _Kernel:
     ``rv_continuous`` does: z = (x - loc) / scale; the pdf is zero outside
     [lower, upper] (outside (lower, upper) when ``closed`` is false); the cdf
     is zero at and below ``lower`` and one at and above ``upper``; NaN stays
-    NaN.  ``draw(rng, size)`` is the family's standard ``_rvs``: the same
+    NaN.  ``at(shift)`` does the same for one Python float with Python
+    branches.  ``draw(rng, size)`` is the family's standard ``_rvs``: the same
     Generator call, so the caller's ``draw * scale + loc`` repeats
     ``rv_continuous.rvs`` bit for bit.  Creating a frozen scipy object costs
     time and leaves memory resident, so none is ever made.
@@ -200,20 +210,67 @@ class _Kernel:
         return (np.float64(self.lower * self.scale + self.loc),
                 np.float64(self.upper * self.scale + self.loc))
 
+    def at(self, shift: float) -> ScalarFunctions:
+        """pdf, cdf and quantile of one Python float, for the base variate plus ``shift``.
+
+        They standardise as z = ((x - shift) - loc) / scale, mask with Python
+        branches instead of arrays and call the same family formulas.  Python
+        floats round each operation as numpy's float64 does, so every value is
+        bitwise equal to the array methods' (shifted by hand), and each is
+        returned as a numpy float64.
+        """
+        loc, scale, lower, upper, closed = (
+            self.loc, self.scale, self.lower, self.upper, self.closed)
+        density, distribution, inverse = self.density, self.distribution, self.inverse
+
+        def pdf(x):
+            z = ((x - shift) - loc) / scale
+            if lower < z < upper or (closed and (z == lower or z == upper)):
+                return density(z) / scale
+            return _NAN if z != z else _ZERO
+
+        def cdf(x):
+            z = ((x - shift) - loc) / scale
+            if lower < z < upper:
+                return distribution(z)
+            if z != z:
+                return _NAN
+            return _ONE if z >= upper else _ZERO
+
+        def quantile(q):
+            if 0 < q < 1:
+                return inverse(q) * scale + loc + shift
+            return _NAN
+
+        return ScalarFunctions(pdf, cdf, quantile)
+
 
 def _place(z, inside, fill, formula):
-    """``formula`` where ``inside``, NaN where z is NaN, ``fill`` elsewhere.
-
-    A scalar takes Python branches: on a 0-d array, masking and placing cost
-    several times the formula itself.
-    """
-    if z.ndim == 0:
-        if inside:
-            return formula(z)
-        return np.float64(np.nan if np.isnan(z) else fill)
+    """``formula`` where ``inside``, NaN where z is NaN, ``fill`` elsewhere."""
     out = np.where(np.isnan(z), np.nan, fill)
     out[inside] = formula(z[inside])
     return out
+
+
+_ZERO, _ONE, _NAN = np.float64(0.0), np.float64(1.0), np.float64(np.nan)
+
+
+class ScalarFunctions(NamedTuple):
+    """One spec's pdf, cdf and quantile, each a function of one Python float."""
+
+    pdf: Callable[[float], np.float64]
+    cdf: Callable[[float], np.float64]
+    quantile: Callable[[float], np.float64]
+
+
+@lru_cache(maxsize=256)
+def scalar_functions(spec: DistributionSpec) -> ScalarFunctions:
+    """``spec``'s pdf, cdf and quantile for one number (see :meth:`_Kernel.at`).
+
+    Bind them once for many points: each call then skips ``np.asarray``, the
+    kernel cache lookup (which hashes the spec) and array masking.
+    """
+    return _kernel(spec).at(spec.shift)
 
 
 @lru_cache(maxsize=256)

@@ -36,12 +36,16 @@ class ExactNullTable:
 
     @property
     def pmf(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.total
+        # exact int / int is correctly rounded, and C(m+n, m) leaves the
+        # float range (1.8e308) near m + n = 1030
+        total = self.total
+        return np.array([c / total for c in self.counts])
 
     def sf(self) -> np.ndarray:
         """P(U >= u) for u = 0..mn, as floats."""
-        tail = np.cumsum(np.asarray(self.counts, dtype=float)[::-1])[::-1]
-        return tail / self.total
+        total = self.total
+        tail = list(accumulate(reversed(self.counts)))[::-1]
+        return np.array([t / total for t in tail])
 
     def exact_mean(self) -> Fraction:
         return Fraction(sum(u * c for u, c in enumerate(self.counts)), self.total)

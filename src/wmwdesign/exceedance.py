@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 from scipy import integrate
 
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, scalar_functions
 
 # absolute tolerance requested from the quadrature routine; callers are
 # promised 1e-9 on the results
@@ -62,20 +62,18 @@ _GUIDE_LEVELS = (1e-9, 1e-6, 1e-3, 0.05, 0.25, 0.5, 0.75, 0.95,
                  1 - 1e-3, 1 - 1e-6, 1 - 1e-9)
 
 
-def _breakpoints(F: DistributionSpec, G: DistributionSpec, lo: float, hi: float):
-    # support edges (a shifted exponential's origin) are kinks, and interior
-    # quantiles keep the subdivision from missing a narrow density inside a
-    # heavy-tailed partner's huge truncated range
-    pts = set()
-    for spec in (F, G):
-        for edge in spec.support():
-            if lo < edge < hi:
-                pts.add(edge)
-        for level in _GUIDE_LEVELS:
-            q = spec.quantile(level)
-            if lo < q < hi:
-                pts.add(q)
-    return sorted(pts) or None
+def _domains(F: DistributionSpec, G: DistributionSpec):
+    """(lo, hi, breakpoints) for the weights F and G, from 26 quantiles in all.
+
+    Support edges (a shifted exponential's origin) are kinks, and interior
+    quantiles keep the subdivision from missing a narrow density inside a
+    heavy-tailed partner's huge truncated range; both specs' edges and guide
+    quantiles serve as breakpoints wherever they fall inside a domain.
+    """
+    guides = [x for spec in (F, G)
+              for x in (*spec.support(), *(spec.quantile(level) for level in _GUIDE_LEVELS))]
+    return [(lo, hi, sorted({x for x in guides if lo < x < hi}) or None)
+            for lo, hi in (_domain(F), _domain(G))]
 
 
 def _quad(fn, lo, hi, points=None) -> tuple[float, float]:
@@ -91,13 +89,6 @@ def _clip_unit(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def _weighted_quad(integrand, F: DistributionSpec, G: DistributionSpec,
-                   weight: DistributionSpec) -> tuple[float, float]:
-    lo, hi = _domain(weight)
-    pts = _breakpoints(F, G, lo, hi)
-    return _quad(integrand, lo, hi, points=pts)
-
-
 def prob_x_ge_y(F: DistributionSpec, G: DistributionSpec) -> float:
     """P(X >= Y) for X ~ F, Y ~ G, both continuous."""
     return second_moment_integrals(F, G).p_x_ge_y
@@ -110,9 +101,12 @@ def second_moment_integrals(F: DistributionSpec, G: DistributionSpec) -> Exceeda
     Raises QuadratureAccuracyError when the bound exceeds RESULT_TOL, so no
     result rests on unconverged integrals.
     """
-    p, e1 = _weighted_quad(lambda x: G.cdf(x) * F.pdf(x), F, G, weight=F)
-    i1, e2 = _weighted_quad(lambda x: G.cdf(x) ** 2 * F.pdf(x), F, G, weight=F)
-    i2, e3 = _weighted_quad(lambda x: (1.0 - F.cdf(x)) ** 2 * G.pdf(x), F, G, weight=G)
+    f_pdf, f_cdf, _ = scalar_functions(F)
+    g_pdf, g_cdf, _ = scalar_functions(G)
+    over_f, over_g = _domains(F, G)
+    p, e1 = _quad(lambda x: g_cdf(x) * f_pdf(x), *over_f)
+    i1, e2 = _quad(lambda x: g_cdf(x) ** 2 * f_pdf(x), *over_f)
+    i2, e3 = _quad(lambda x: (1.0 - f_cdf(x)) ** 2 * g_pdf(x), *over_g)
     bound = max(e1, e2, e3)
     if bound > RESULT_TOL:
         raise QuadratureAccuracyError("exceedance integrals did not converge", bound)
@@ -136,7 +130,9 @@ def check_identities(F: DistributionSpec, G: DistributionSpec) -> IdentityReport
     """
     s = second_moment_integrals(F, G)
 
-    int_f2_g, _ = _weighted_quad(lambda x: F.cdf(x) ** 2 * G.pdf(x), F, G, weight=G)
+    f_cdf, g_pdf = scalar_functions(F).cdf, scalar_functions(G).pdf
+    _, over_g = _domains(F, G)
+    int_f2_g, _ = _quad(lambda x: f_cdf(x) ** 2 * g_pdf(x), *over_g)
     res_a = abs(s.int_1mf2_g - (2.0 * s.p_x_ge_y - 1.0 + int_f2_g))
 
     # substituting u = F(x) maps both layers onto (0, 1) with a bounded

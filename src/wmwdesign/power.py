@@ -26,7 +26,7 @@ class AllocationSearchError(RuntimeError):
 
 
 class ConfigurationError(ValueError):
-    """The requested search grid is empty."""
+    """The requested search grid is empty or its epsilon is invalid."""
 
 
 def _check_side(side: str):
@@ -104,6 +104,8 @@ def wmw_power_at(F: DistributionSpec, G: DistributionSpec, alpha: float = 0.05,
 
 def _grid(total_n: int, epsilon: float, smallest: int = 1) -> range:
     """Group sizes m with epsilon <= m/N <= 1-epsilon and both groups >= smallest."""
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ConfigurationError(f"epsilon must be finite and >= 0, got {epsilon}")
     lo = max(smallest, math.ceil(epsilon * total_n))
     hi = min(total_n - smallest, math.floor((1.0 - epsilon) * total_n))
     if lo > hi:

@@ -111,6 +111,20 @@ def test_exact_null_subcommand(tmp_path, capsys):
     assert sum(float(r[1]) for r in rows[1:]) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "-0.5"])
+@pytest.mark.parametrize("command", [["optimal-design"], ["deficiency", "--omega", "0.5"]],
+                         ids=["optimal-design", "deficiency"])
+def test_epsilon_not_finite_and_nonnegative_is_a_usage_error(capsys, command, epsilon):
+    code, out, err = run(
+        capsys, *command, "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD,
+        "--n", "50", f"--epsilon={epsilon}",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: epsilon must be finite and >= 0")
+
+
 def test_exact_null_resource_limit(capsys):
     code, _, err = run(capsys, "exact-null", "--m", "2000", "--n", "2000")
     assert code == 3

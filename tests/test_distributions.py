@@ -13,6 +13,7 @@ from wmwdesign import (
     normal,
     student_t,
 )
+from wmwdesign.distributions import scalar_functions
 from scipy_oracle import frozen
 
 ALL_FAMILIES = [
@@ -206,6 +207,21 @@ def test_pdf_cdf_bitwise_equal_to_scipy(spec, method):
     _assert_same(getattr(spec, method),
                  lambda x: reference(np.asarray(x, dtype=float) - spec.shift),
                  _points(spec))
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_kernel_id)
+def test_scalar_functions_bitwise_equal_to_scipy(spec):
+    # the quadrature integrands call these with Python floats
+    fns, oracle = scalar_functions(spec), frozen(spec)
+    with np.errstate(all="ignore"):
+        for x in _points(spec):
+            for got, want in ((fns.pdf(float(x)), oracle.pdf(x - spec.shift)),
+                              (fns.cdf(float(x)), oracle.cdf(x - spec.shift))):
+                np.testing.assert_array_equal(got, want)
+                assert type(got) is type(want)
+    for p in np.concatenate([LEVELS, np.linspace(0.01, 0.99, 25)]):
+        got, want = fns.quantile(float(p)), oracle.ppf(p) + spec.shift
+        assert got == want and type(got) is type(want)
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_kernel_id)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from wmwdesign import Design, TableSizeError, build_table, critical_value, null_moments
+from wmwdesign import (
+    Design,
+    ExactNullTable,
+    TableSizeError,
+    build_table,
+    critical_value,
+    null_moments,
+)
 
 
 def enumerate_counts(m, n):
@@ -113,6 +120,36 @@ def test_pmf_symmetry_and_total_mass():
     assert sum(t.counts) == math.comb(11, 7)
     for u in range(7 * 4 + 1):
         assert t.counts[u] == t.counts[7 * 4 - u]
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (10, 10), (25, 25)])
+def test_pmf_and_sf_equal_float_division_below_2_to_53(m, n):
+    # the exact-int division must keep every digit of the float one while
+    # C(m+n, m) < 2**53, where each count converts to float exactly
+    t = build_table(m, n)
+    assert t.total < 2**53
+    counts = np.asarray(t.counts, dtype=float)
+    assert t.pmf.tobytes() == (counts / t.total).tobytes()
+    assert t.sf().tobytes() == (np.cumsum(counts[::-1])[::-1] / t.total).tobytes()
+
+
+def test_pmf_and_sf_past_the_float_range():
+    # C(1040, 520) ~ 2.9e311 has no float; the counts are synthetic (ones
+    # with the rest of the total in the middle), so no table is built
+    m = n = 520
+    mn = m * n
+    total = math.comb(m + n, m)
+    assert total > 2**1024
+    counts = [1] * (mn + 1)
+    counts[mn // 2] = total - mn
+    t = ExactNullTable(m, n, tuple(counts))
+    pmf, sf = t.pmf, t.sf()
+    assert pmf.shape == sf.shape == (mn + 1,)
+    assert pmf[0] == pmf[-1] == float(Fraction(1, total)) > 0.0
+    assert pmf[mn // 2] == float(Fraction(total - mn, total))
+    assert sf[0] == 1.0
+    assert sf[-1] == pmf[-1]
+    assert sf[mn // 2 + 1] == float(Fraction(mn // 2, total))
 
 
 def test_standardized_cdf_close_to_normal_at_50_50():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy import stats
 
 from wmwdesign import (
     Design,
+    ExceedanceSummary,
     PowerQuery,
     QuadratureAccuracyError,
     chi_square,
@@ -183,6 +185,53 @@ def _scipy_stats_methods(monkeypatch):
     monkeypatch.setattr(spec, "support", support)
 
 
+def _array_methods(monkeypatch):
+    """Evaluate one point through the array kernels, as a one-element array."""
+    spec = distributions.DistributionSpec
+    pdf, cdf = spec.pdf, spec.cdf
+    monkeypatch.setattr(spec, "pdf", lambda self, x: pdf(self, np.array([x]))[0])
+    monkeypatch.setattr(spec, "cdf", lambda self, x: cdf(self, np.array([x]))[0])
+
+
+def _reference_integrals(F, G):
+    """The per-integral x-space path: the oracle of the pair-bound one.
+
+    Each integral finds its weight's domain and both specs' breakpoints from
+    fresh quantiles and evaluates every point through the DistributionSpec
+    methods.  Returns the summary and int F^2 g, the integral behind
+    check_identities' complement residual.
+    """
+    def domain(weight):
+        return weight.quantile(exceedance._TAIL), weight.quantile(1 - exceedance._TAIL)
+
+    def breakpoints(lo, hi):
+        pts = set()
+        for spec in (F, G):
+            for edge in spec.support():
+                if lo < edge < hi:
+                    pts.add(edge)
+            for level in exceedance._GUIDE_LEVELS:
+                q = spec.quantile(level)
+                if lo < q < hi:
+                    pts.add(q)
+        return sorted(pts) or None
+
+    def weighted_quad(integrand, weight):
+        lo, hi = domain(weight)
+        return exceedance._quad(integrand, lo, hi, points=breakpoints(lo, hi))
+
+    p, e1 = weighted_quad(lambda x: G.cdf(x) * F.pdf(x), F)
+    i1, e2 = weighted_quad(lambda x: G.cdf(x) ** 2 * F.pdf(x), F)
+    i2, e3 = weighted_quad(lambda x: (1.0 - F.cdf(x)) ** 2 * G.pdf(x), G)
+    f2g, _ = weighted_quad(lambda x: F.cdf(x) ** 2 * G.pdf(x), G)
+    clip = exceedance._clip_unit
+    return ExceedanceSummary(clip(p), clip(i1), clip(i2), max(e1, e2, e3)), f2g
+
+
+def _pair_id(pair):
+    return " vs ".join(f"{s.family}{tuple(v for _, v in s.params)}+{s.shift}" for s in pair)
+
+
 KERNEL_PAIRS = [
     (normal(0.75, 2.0), normal(0.0, 1.0)),
     (normal(0.75, 1.0 / 3.0), normal(0.0, 1.0)),
@@ -196,18 +245,118 @@ KERNEL_PAIRS = [
 def test_integrals_bitwise_equal_to_scipy_stats_path(monkeypatch):
     # the kernels keep the quadrature nodes and every integrand value, so
     # all four fields of the summary must be equal, not merely close
-    second_moment_integrals.cache_clear()
-    kernels = [second_moment_integrals(F, G) for F, G in KERNEL_PAIRS]
-    second_moment_integrals.cache_clear()
+    kernels = [second_moment_integrals.__wrapped__(F, G) for F, G in KERNEL_PAIRS]
     with monkeypatch.context() as patch:
         _scipy_stats_methods(patch)
-        reference = [second_moment_integrals(F, G) for F, G in KERNEL_PAIRS]
-    second_moment_integrals.cache_clear()
+        reference = [_reference_integrals(F, G)[0] for F, G in KERNEL_PAIRS]
     for got, want in zip(kernels, reference):
-        assert got.p_x_ge_y == want.p_x_ge_y
-        assert got.int_g2_f == want.int_g2_f
-        assert got.int_1mf2_g == want.int_1mf2_g
-        assert got.quadrature_error_bound == want.quadrature_error_bound
+        assert got == want  # all four fields
+
+
+FAMILY_SPECS = [
+    normal(0.3, 1.4),
+    exponential(0.8),
+    log_normal(0.2, 0.6),
+    chi_square(6.0),
+    student_t(5.0, 1.0, 1.5),
+]
+
+
+def _cold_style_pairs(count):
+    """Pairs built as the design_cold benchmark builds them: G from a family,
+    F shifted, redrawn from G's family and shifted, or from another family."""
+    rng = random.Random(8)
+    families = [
+        lambda: normal(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)),
+        lambda: exponential(rng.uniform(0.25, 2.0)),
+        lambda: log_normal(rng.uniform(-0.5, 1.0), rng.uniform(0.3, 1.0)),
+        lambda: chi_square(rng.uniform(2.0, 15.0)),
+        lambda: student_t(rng.uniform(3.0, 20.0), rng.uniform(-2.0, 5.0), rng.uniform(0.5, 3.0)),
+    ]
+    pairs = []
+    for i in range(count):
+        G = families[i % 5]()
+        if i % 3 == 0:
+            F = G
+        elif i % 3 == 1:
+            F = families[i % 5]()
+        else:
+            F = families[(i + 1 + i // 5 % 4) % 5]()
+        pairs.append((F.with_shift(F.shift + rng.uniform(0.2, 2.0)), G))
+    return pairs
+
+
+ORACLE_PAIRS = (
+    KERNEL_PAIRS
+    # every family against every other, unshifted
+    + [(F, G) for F in FAMILY_SPECS for G in FAMILY_SPECS if F != G]
+    # every family against itself shifted, both ways round
+    + [(F.with_shift(0.7), F) for F in FAMILY_SPECS]
+    + [(F.with_shift(-1.1), F.with_shift(0.4)) for F in FAMILY_SPECS]
+    + [
+        # support-edge kinks of shifted exponentials
+        (exponential(0.7, shift=-1.2), exponential(2.0, shift=0.3)),
+        (normal(0.5, 0.8), exponential(1.5, shift=0.2)),
+        (exponential(1.1, shift=-0.6), log_normal(0.0, 0.5)),
+        # chi-square below df = 2, whose density is infinite at its edge
+        (chi_square(0.5), chi_square(1.5, shift=0.2)),
+        (chi_square(1.0), normal(1.0, 1.0)),
+        (chi_square(0.8, shift=-0.5), exponential(1.0)),
+        # heavy tails against a narrow density
+        (student_t(3.0), normal(0.0, 0.05)),
+        (normal(0.02, 0.05), student_t(3.0)),
+        (student_t(3.0, 2.0, 0.5), normal(2.1, 0.01)),
+    ]
+    + _cold_style_pairs(24)
+)
+
+
+@pytest.mark.parametrize("F,G", ORACLE_PAIRS, ids=[_pair_id(p) for p in ORACLE_PAIRS])
+def test_pair_bound_integrals_equal_the_per_integral_path(monkeypatch, F, G):
+    # binding each pair's scalar functions once and sharing its 26 quantiles
+    # must not move a node or a digit
+    got = second_moment_integrals.__wrapped__(F, G)
+    with monkeypatch.context() as patch:
+        _array_methods(patch)
+        want, _ = _reference_integrals(F, G)
+    assert got == want  # all four fields
+
+
+# residuals recorded before the integrals were bound per pair
+IDENTITY_RESIDUALS = [
+    (normal(0.75, 2), normal(0, 1), 1.998845533535132e-12, 5.998512797589228e-11),
+    (chi_square(14), student_t(3, 17, 2.8), 2.008559985000602e-12, 1.0197065414274675e-11),
+    (log_normal(0, 1), exponential(0.75), 2.0005108680720696e-12, 2.4129698239505615e-11),
+    (exponential(1.0, shift=0.5), exponential(1.0), 2.7863267249017554e-12,
+     9.999778782798785e-13),
+    (chi_square(0.5), chi_square(1.5, shift=0.2), 3.360180189648787e-12,
+     5.2685024724830054e-08),
+]
+
+
+@pytest.mark.parametrize("F,G,complement,nested", IDENTITY_RESIDUALS,
+                         ids=[_pair_id(r[:2]) for r in IDENTITY_RESIDUALS])
+def test_identity_residuals_unchanged(monkeypatch, F, G, complement, nested):
+    report = check_identities(F, G)
+    assert report.complement_residual == complement
+    assert report.nested_residual == nested
+    with monkeypatch.context() as patch:
+        _array_methods(patch)
+        s, f2g = _reference_integrals(F, G)
+    assert report.complement_residual == abs(s.int_1mf2_g - (2.0 * s.p_x_ge_y - 1.0 + f2g))
+
+
+def test_cold_pair_makes_26_quantile_calls(monkeypatch):
+    # two domain ends and eleven guide quantiles per spec, each computed once
+    # for all three integrals (the per-integral path made 72 calls)
+    levels = []
+    spec = distributions.DistributionSpec
+    quantile = spec.quantile
+    monkeypatch.setattr(spec, "quantile", lambda self, p: levels.append(p) or quantile(self, p))
+    F, G = student_t(3.7, 0.5, 1.2), exponential(0.9, shift=-0.4)
+    second_moment_integrals.__wrapped__(F, G)
+    assert len(levels) == 26
+    assert len(set(levels)) == 13
 
 
 def test_cold_integrals_and_sampling_create_no_frozen_scipy_object(monkeypatch):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wmwdesign import (
+    ConfigurationError,
     Design,
     PowerQuery,
     SimulationPlan,
@@ -11,6 +12,7 @@ from wmwdesign import (
     deficiency_symmetric,
     exponential,
     normal,
+    optimal_design,
     simulate_power,
     welch_deficiency,
     welch_optimal_omega,
@@ -159,6 +161,24 @@ def test_deficiency_searches_reject_omega_outside_unit_interval(omega):
         deficiency_general(normal(0.75, 1), normal(0, 1), 50, omega)
     with pytest.raises(ValueError, match="omega must be in"):
         welch_deficiency(0.75, 1.0, 0.0, 1.0, 50, omega)
+
+
+@pytest.mark.parametrize("epsilon", [float("inf"), float("-inf"), float("nan"), -0.5, -1e-300])
+def test_grid_searches_reject_epsilon_not_finite_and_nonnegative(epsilon):
+    # inf used to raise OverflowError, NaN a conversion error, and a negative
+    # epsilon was accepted and scanned 1..N-1
+    F, G = normal(0.75, 1), normal(0, 1)
+    with pytest.raises(ConfigurationError, match="epsilon"):
+        optimal_design(F, G, 50, epsilon=epsilon)
+    with pytest.raises(ConfigurationError, match="epsilon"):
+        deficiency_general(F, G, 50, 0.5, epsilon=epsilon)
+    with pytest.raises(ConfigurationError, match="epsilon"):
+        welch_deficiency(0.75, 1.0, 0.0, 1.0, 50, 0.5, epsilon=epsilon)
+
+
+def test_grid_accepts_epsilon_zero():
+    report = optimal_design(normal(0.75, 1), normal(0, 1), 10, epsilon=0.0)
+    assert [p.m for p in report.power_curve] == list(range(1, 10))
 
 
 @pytest.mark.parametrize("F,G,degenerate", [
