@@ -90,10 +90,10 @@ def _load_spec(text: str, flag: str) -> DistributionSpec:
 
 
 def _resolve_design(args) -> Design:
-    if args.m is not None and args.n2 is not None:
+    if args.m is not None or args.n2 is not None:
+        if args.m is None or args.n2 is None or args.omega is not None:
+            raise UsageError("--m and --n2 go together, and not with --omega")
         return Design(args.m, args.n2)
-    if args.n is None:
-        raise UsageError("--n is required unless both --m and --n2 are given")
     omega = args.omega if args.omega is not None else 0.5
     return Design.from_total(args.n, omega)
 

@@ -69,11 +69,23 @@ def _domains(F: DistributionSpec, G: DistributionSpec):
     quantiles keep the subdivision from missing a narrow density inside a
     heavy-tailed partner's huge truncated range; both specs' edges and guide
     quantiles serve as breakpoints wherever they fall inside a domain.
+
+    One exception: where a weight's density is infinite at the lower end of
+    its domain (a shifted chi-square with df < 2, whose 1e-12 quantile rounds
+    to the support edge), its own 1e-9, 1e-6 and 1e-3 quantiles crowd that
+    end (all within 5e-8 of it for df 0.8), and subdividing around them lands
+    on nodes that round to it, so they are left out of that domain's
+    breakpoints.
     """
-    guides = [x for spec in (F, G)
-              for x in (*spec.support(), *(spec.quantile(level) for level in _GUIDE_LEVELS))]
-    return [(lo, hi, sorted({x for x in guides if lo < x < hi}) or None)
-            for lo, hi in (_domain(F), _domain(G))]
+    quantiles = [[spec.quantile(level) for level in _GUIDE_LEVELS] for spec in (F, G)]
+    guides = [x for spec, qs in zip((F, G), quantiles) for x in (*spec.support(), *qs)]
+    domains = []
+    for spec, qs in zip((F, G), quantiles):
+        lo, hi = _domain(spec)
+        near_edge = qs[:3] if np.isinf(spec.pdf(lo)) else ()
+        domains.append((lo, hi, sorted({x for x in guides
+                                        if lo < x < hi and x not in near_edge}) or None))
+    return domains
 
 
 def _quad(fn, lo, hi, points=None) -> tuple[float, float]:

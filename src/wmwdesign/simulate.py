@@ -20,6 +20,9 @@ from .power import ONE_SIDED_UPPER, _check_alpha, _check_side
 
 TESTS = ("wmw_exact", "wmw_normal", "t_hom", "t_het")
 BLOCK_TRIALS = 2048
+# values merged per row chunk in _u_matrix; its scratch memory is about 17
+# bytes per value (1.1 MB), whatever the block's shape
+MERGE_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,12 +73,29 @@ def _u_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     before x on a tie, so the x at merged position p has p - (x's before it)
     y values at or below it; summed over the x's, U = sum(p) - m(m-1)/2.
     Sorting each group first hands the stable sort two presorted runs, which
-    it merges far faster than unsorted rows.  Memory is linear in b(m + n).
+    it merges far faster than unsorted rows.
+
+    Rows are merged in chunks of MERGE_BUDGET // (m + n) rows, at least one,
+    so the scratch memory is a fixed workspace of about MERGE_BUDGET merged
+    values (one row when m + n is larger) plus the b results, and only the
+    caller's draws grow with b(m + n).
     """
-    m, n = X.shape[1], Y.shape[1]
-    merged = np.concatenate([np.sort(Y, axis=1), np.sort(X, axis=1)], axis=1)
-    is_x = np.argsort(merged, axis=1, kind="stable") >= n
-    return is_x @ np.arange(m + n) - m * (m - 1) // 2
+    b, m = X.shape
+    n = Y.shape[1]
+    rows = max(1, MERGE_BUDGET // (m + n))
+    positions = np.arange(m + n)
+    U = np.empty(b, dtype=np.int64)
+    merged = np.empty((min(rows, b), m + n), dtype=np.result_type(X, Y))
+    for lo in range(0, b, rows):
+        hi = min(lo + rows, b)
+        chunk = merged[: hi - lo]
+        chunk[:, :n] = Y[lo:hi]
+        chunk[:, n:] = X[lo:hi]
+        chunk[:, :n].sort(axis=1)
+        chunk[:, n:].sort(axis=1)
+        np.matmul(np.argsort(chunk, axis=1, kind="stable") >= n, positions, out=U[lo:hi])
+    U -= m * (m - 1) // 2
+    return U
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

@@ -219,6 +219,25 @@ def test_simulate_negative_seed_is_usage_error(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("command", ["power", "simulate"])
+@pytest.mark.parametrize("sizes", [
+    ("--m", "10"),
+    ("--n2", "7"),
+    ("--m", "10", "--n2", "7", "--omega", "0.3"),
+    ("--m", "10", "--omega", "0.3"),
+], ids=["m alone", "n2 alone", "m n2 omega", "m omega"])
+def test_group_sizes_need_both_flags_and_no_omega(capsys, command, sizes):
+    # a lone --m or --n2 must not fall back to the default --n 50 at omega 0.5
+    code, out, err = run(
+        capsys, command, "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD, *sizes,
+        *(("--trials", "100") if command == "simulate" else ()),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--m" in err and "--n2" in err
+
+
 def test_reproduce_is_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

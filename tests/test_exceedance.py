@@ -91,6 +91,18 @@ def test_complement_law(F, G):
     assert prob_x_ge_y(F, G) + prob_x_ge_y(G, F) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_shifted_chi_square_below_df_2_converges_both_ways_round():
+    # the weight's density is infinite at the lower end of its domain, -0.5;
+    # as breakpoints, its lowest guide quantiles pull QAGP onto nodes that round to it
+    F, G = exponential(1.0), chi_square(0.8, shift=-0.5)
+    fg = second_moment_integrals.__wrapped__(F, G)
+    gf = second_moment_integrals.__wrapped__(G, F)
+    assert max(fg.quadrature_error_bound, gf.quadrature_error_bound) <= exceedance.RESULT_TOL
+    assert fg.p_x_ge_y == pytest.approx(1.0 - gf.p_x_ge_y, abs=1e-9)
+    # int (1 - F)^2 g = 1 - 2 int F g + int F^2 g, with int F g = P(Y >= X)
+    assert fg.int_1mf2_g == pytest.approx(1.0 - 2.0 * gf.p_x_ge_y + gf.int_g2_f, abs=1e-9)
+
+
 def test_shift_monotonicity():
     G = normal(0, 1)
     probs = [prob_x_ge_y(normal(0, 1, shift=a), G) for a in (0.0, 0.25, 0.5, 1.0, 2.0)]

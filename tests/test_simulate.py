@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,19 +48,63 @@ def test_compute_u_rejects_empty():
         compute_u([], [1.0])
 
 
-@pytest.mark.parametrize("m,n", [(1, 1), (1, 7), (7, 1), (3, 5), (25, 25), (10, 60),
-                                 (70, 70), (150, 150)])
-@pytest.mark.parametrize("integer_valued", [False, True])
-def test_u_matrix_matches_broadcast_count(m, n, integer_valued):
+U_SHAPES = [(1, 1), (1, 7), (7, 1), (3, 5), (25, 25), (10, 60), (70, 70), (150, 150)]
+
+
+def _u_block(m, n, integer_valued):
     rng = np.random.default_rng(m * 1000 + n)
     X = rng.normal(0.3, 1.0, size=(64, m))
     Y = rng.normal(0.0, 1.0, size=(64, n))
     if integer_valued:  # forces many x == y ties, which count as x >= y
         X, Y = np.round(2 * X), np.round(2 * Y)
-    broadcast = (X[:, :, None] >= Y[:, None, :]).sum(axis=(1, 2))
+    return X, Y, (X[:, :, None] >= Y[:, None, :]).sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("m,n", U_SHAPES)
+@pytest.mark.parametrize("integer_valued", [False, True])
+def test_u_matrix_matches_broadcast_count(m, n, integer_valued):
+    X, Y, broadcast = _u_block(m, n, integer_valued)
     U = simulate_mod._u_matrix(X, Y)
     assert U.dtype == broadcast.dtype
     np.testing.assert_array_equal(U, broadcast)
+
+
+@pytest.mark.parametrize("m,n", U_SHAPES)
+@pytest.mark.parametrize("integer_valued", [False, True])
+@pytest.mark.parametrize("rows", [5, 1])
+def test_u_matrix_row_chunks_match_broadcast_count(monkeypatch, m, n, integer_valued, rows):
+    # 64 rows in twelve chunks of five and a ragged one of four, or, with the
+    # budget below m + n, one row at a time
+    monkeypatch.setattr(simulate_mod, "MERGE_BUDGET", 5 * (m + n) + 1 if rows == 5 else 1)
+    X, Y, broadcast = _u_block(m, n, integer_valued)
+    np.testing.assert_array_equal(simulate_mod._u_matrix(X, Y), broadcast)
+
+
+def _wmw_normal_block():
+    """One full block at the largest wmw_normal design the benchmark draws."""
+    rng = np.random.default_rng(391)
+    return (rng.normal(0.1, 1.0, size=(simulate_mod.BLOCK_TRIALS, 391)),
+            rng.normal(0.0, 1.0, size=(simulate_mod.BLOCK_TRIALS, 399)))
+
+
+def test_u_matrix_full_block_matches_compute_u_row_by_row():
+    X, Y = _wmw_normal_block()
+    U = simulate_mod._u_matrix(X, Y)
+    assert U.dtype == np.int64
+    assert U.tolist() == [compute_u(x, y) for x, y in zip(X, Y)]
+
+
+def test_u_matrix_scratch_memory_is_a_fixed_workspace():
+    # about 1.1 MB: 17 bytes per merged value of MERGE_BUDGET plus 16 KB of
+    # results, where merging the whole block at once takes 26 MB
+    X, Y = _wmw_normal_block()
+    tracemalloc.start()
+    try:
+        simulate_mod._u_matrix(X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_u_matrix_all_tied():
