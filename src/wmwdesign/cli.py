@@ -4,7 +4,7 @@ Subcommands: power, optimal-design, power-curve, deficiency, exact-null,
 simulate, check-identities, reproduce.  Output is JSON on stdout, or CSV to
 an --out path where a curve/table is produced.
 
-Exit codes: 0 success, 1 usage or input error, 2 numerical failure,
+Exit codes: 0 success, 1 usage, input or output-file error, 2 numerical failure,
 3 resource limit exceeded.
 """
 
@@ -139,13 +139,13 @@ def _cmd_optimal_design(args):
     report = design_mod.optimal_design(
         F, G, args.n, alpha=args.alpha, side=args.side, epsilon=args.epsilon
     )
-    _emit_json(_design_report_dict(report))
-    if args.out:
+    if args.out:  # first, so that a failed write prints nothing
         _write_csv(
             args.out,
             ["omega", "m", "n", "power"],
             [(p.omega, p.m, p.n, p.power) for p in report.power_curve],
         )
+    _emit_json(_design_report_dict(report))
     return EXIT_OK
 
 
@@ -153,11 +153,13 @@ def _cmd_power_curve(args):
     F = _load_spec(args.f_spec, "--f-spec")
     G = _load_spec(args.g_spec, "--g-spec")
     grid = None
-    if args.grid:
+    if args.grid is not None:
         try:
             grid = [float(v) for v in args.grid.split(",") if v.strip()]
         except ValueError as exc:
             raise UsageError(f"--grid: {exc}") from exc
+        if not grid:
+            raise UsageError(f"--grid lists no allocation fraction: {args.grid!r}")
     points = design_mod.power_curve(F, G, args.n, alpha=args.alpha, side=args.side, grid=grid)
     header = ["omega", "m", "n", "power_approx"]
     rows = [[p.omega, p.m, p.n, p.power] for p in points]
@@ -176,15 +178,22 @@ def _cmd_power_curve(args):
 
 
 def _cmd_deficiency(args):
+    # the general-only flags default to None, so that one given without the
+    # specs is caught instead of ignored by the closed form
+    general = {"alpha": args.alpha, "side": args.side, "epsilon": args.epsilon}
     if args.f_spec or args.g_spec:
         if not (args.f_spec and args.g_spec and args.n):
             raise UsageError("general deficiency needs --f-spec, --g-spec and --n")
         F = _load_spec(args.f_spec, "--f-spec")
         G = _load_spec(args.g_spec, "--g-spec")
-        d = deficiency_general(F, G, args.n, args.omega, alpha=args.alpha,
-                               side=args.side, epsilon=args.epsilon)
+        d = deficiency_general(F, G, args.n, args.omega,
+                               **{k: v for k, v in general.items() if v is not None})
         _emit_json({"omega": args.omega, "deficiency": d, "method": "general"})
     else:
+        given = [f"--{k}" for k, v in {"n": args.n, **general}.items() if v is not None]
+        if given:
+            raise UsageError(f"{', '.join(given)} need --f-spec and --g-spec; "
+                             "the symmetric closed form takes only --omega")
         d = deficiency_symmetric(args.omega)
         _emit_json({"omega": args.omega, "deficiency": d, "method": "symmetric_closed_form"})
     return EXIT_OK
@@ -194,6 +203,8 @@ def _cmd_exact_null(args):
     table = build_table(args.m, args.n)
     e0, var0 = null_moments(Design(args.m, args.n))
     cv = critical_value(table, args.alpha, "upper")
+    if args.out:  # first, so that a failed write prints nothing
+        _write_csv(args.out, ["u", "probability"], list(enumerate(table.pmf.tolist())))
     _emit_json({
         "m": args.m,
         "n": args.n,
@@ -205,12 +216,6 @@ def _cmd_exact_null(args):
         "achieved_size": cv.achieved_size,
         "degenerate": cv.degenerate,
     })
-    if args.out:
-        _write_csv(
-            args.out,
-            ["u", "probability"],
-            list(enumerate(table.pmf.tolist())),
-        )
     return EXIT_OK
 
 
@@ -311,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-spec")
     p.add_argument("--g-spec")
     p.add_argument("--n", type=int)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--side", choices=SIDES, default=ONE_SIDED_UPPER)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, help="default 0.05")
+    p.add_argument("--side", choices=SIDES, help=f"default {ONE_SIDED_UPPER}")
+    p.add_argument("--epsilon", type=float, help="default 0.1")
     p.set_defaults(func=_cmd_deficiency)
 
     p = sub.add_parser("exact-null", help="exact null distribution of U")
@@ -354,7 +359,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ParameterError, ValueError) as exc:
+    except (UsageError, ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (QuadratureAccuracyError, AllocationSearchError) as exc:

@@ -5,18 +5,20 @@ holding a family name, its parameters, and an additive shift.  A spec with
 shift ``a`` describes the variate ``X_base + a``, so a pure location
 alternative is obtained by shifting one of two otherwise identical specs.
 
-Each family is defined once, by its :class:`_Kernel`.  Densities,
-distribution functions and quantiles repeat scipy.stats' formulas and support
-masks with numpy and scipy.special ufuncs, and draws make the same
-``numpy.random.Generator`` calls as scipy.stats' samplers, so every value and
-every draw is bitwise equal to the frozen scipy.stats object's (checked at
-scipy 1.17.1) at a small fraction of its per-call cost.
+Each spec is evaluated by one cached :class:`Kernel`: pdf, cdf and quantile
+functions of a Python float or an array, with the shift applied inside, plus
+a sampler and the support.  They repeat scipy.stats' formulas and support
+masks with numpy and scipy.special ufuncs, and draws make scipy.stats'
+``numpy.random.Generator`` calls, so every value and every draw is bitwise
+equal to the shifted frozen scipy.stats object's (checked at scipy 1.17.1)
+at a small fraction of its per-call cost.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -88,35 +90,23 @@ class DistributionSpec:
     # -- probability functions -------------------------------------------
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return scalar_functions(self).pdf(float(x))
-        return _kernel(self).pdf(x - self.shift)
+        return _kernel(self).pdf(_float_or_array(x))
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return scalar_functions(self).cdf(float(x))
-        return _kernel(self).cdf(x - self.shift)
+        return _kernel(self).cdf(_float_or_array(x))
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
         if not ((p > 0) & (p < 1)).all():
             raise ValueError("quantile requires 0 < p < 1")
-        if p.ndim == 0:
-            return scalar_functions(self).quantile(float(p))
-        return _kernel(self).ppf(p) + self.shift
+        return _kernel(self).quantile(_float_or_array(p))
 
     def sample(self, rng: np.random.Generator, k):
         """Draw ``k`` variates (int or shape tuple) using ``rng``."""
-        kernel = _kernel(self)
-        # scipy's ``vals * scale + loc``, then the shift: folding loc + shift
-        # would round differently
-        return kernel.draw(rng, k) * kernel.scale + kernel.loc + self.shift
+        return _kernel(self).sample(rng, k)
 
     def support(self) -> tuple[float, float]:
-        lo, hi = _kernel(self).support()
-        return lo + self.shift, hi + self.shift
+        return _kernel(self).support
 
     # -- JSON wire format ------------------------------------------------
 
@@ -131,23 +121,26 @@ class DistributionSpec:
     def from_dict(cls, data: dict) -> "DistributionSpec":
         if not isinstance(data, dict):
             raise ParameterError("spec must be a JSON object")
-        try:
-            family = data["family"]
-        except KeyError:
-            raise ParameterError("spec.family is missing") from None
+        if "family" not in data:
+            raise ParameterError("spec.family is missing")
+        family = data["family"]
+        if not isinstance(family, str):
+            raise ParameterError(f"spec.family must be a string, got {family!r}")
         family = _ALIASES.get(family, family)
         if family not in _FAMILIES:
             raise ParameterError(f"spec.family: unknown family {data['family']!r}")
         raw = data.get("params", {})
+        if not isinstance(raw, dict):
+            raise ParameterError(f"spec.params must be a JSON object, got {raw!r}")
         params = []
         for name in _FAMILIES[family]:
             if name not in raw:
                 raise ParameterError(f"spec.params.{name} is missing for family {family!r}")
-            params.append((name, float(raw[name])))
+            params.append((name, _number(raw[name], f"spec.params.{name}")))
         extra = set(raw) - set(_FAMILIES[family])
         if extra:
             raise ParameterError(f"spec.params: unexpected keys {sorted(extra)}")
-        return cls(family, tuple(params), float(data.get("shift", 0.0)))
+        return cls(family, tuple(params), _number(data.get("shift", 0.0), "spec.shift"))
 
     @classmethod
     def from_json(cls, text: str) -> "DistributionSpec":
@@ -158,91 +151,79 @@ class DistributionSpec:
         return cls.from_dict(data)
 
 
+def _number(value, field: str) -> float:
+    """A finite JSON number as a float, or a ParameterError that names ``field``."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        pass
+    raise ParameterError(f"{field} must be a finite number, got {value!r}")
+
+
+def _float_or_array(x):
+    """``x`` as a Python float if it is one number, else as a float array."""
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
+
+
 _SQRT_2PI = np.sqrt(2 * np.pi)  # scipy.stats' _norm_pdf_C
+_ZERO, _ONE, _NAN = np.float64(0.0), np.float64(1.0), np.float64(np.nan)
 
 
-@dataclass(frozen=True)
-class _Kernel:
-    """scipy.stats' evaluation and sampling of one unshifted base variate.
-
-    ``density``, ``distribution`` and ``inverse`` are the family's standard
-    ``_pdf``, ``_cdf`` and ``_ppf`` with the shape parameters bound, written
-    in scipy's operations and order (``z * z`` for a square, numpy ufuncs,
-    never ``math``).  The methods standardise and mask the way
-    ``rv_continuous`` does: z = (x - loc) / scale; the pdf is zero outside
-    [lower, upper] (outside (lower, upper) when ``closed`` is false); the cdf
-    is zero at and below ``lower`` and one at and above ``upper``; NaN stays
-    NaN.  ``at(shift)`` does the same for one Python float with Python
-    branches.  ``draw(rng, size)`` is the family's standard ``_rvs``: the same
-    Generator call, so the caller's ``draw * scale + loc`` repeats
-    ``rv_continuous.rvs`` bit for bit.  Creating a frozen scipy object costs
-    time and leaves memory resident, so none is ever made.
+class Kernel(NamedTuple):
+    """One spec's functions, shift included.  pdf, cdf and quantile map a Python
+    float to a numpy float64 and a float array to an array of its shape;
+    ``sample(rng, size)`` takes an int or shape tuple; support is two float64s.
     """
 
-    loc: float
-    scale: float
-    lower: float
-    upper: float
-    closed: bool
-    density: Callable
-    distribution: Callable
-    inverse: Callable
-    draw: Callable
+    pdf: Callable
+    cdf: Callable
+    quantile: Callable
+    sample: Callable
+    support: tuple[np.float64, np.float64]
 
-    def pdf(self, x):
-        z = (x - self.loc) / self.scale
-        if self.closed:
-            inside = (self.lower <= z) & (z <= self.upper)
-        else:
-            inside = (self.lower < z) & (z < self.upper)
-        return _place(z, inside, 0.0, lambda z: self.density(z) / self.scale)
 
-    def cdf(self, x):
-        z = (x - self.loc) / self.scale
-        inside = (self.lower < z) & (z < self.upper)
-        return _place(z, inside, (z >= self.upper) * 1.0, self.distribution)
+def _bind(shift, loc, scale, lower, upper, closed, density, distribution, inverse, draw):
+    """The :class:`Kernel` of a family's standard variate, scaled, located and shifted.
 
-    def ppf(self, q):
-        inside = (0 < q) & (q < 1)
-        return _place(q, inside, np.nan, lambda q: self.inverse(q) * self.scale + self.loc)
+    ``density``, ``distribution``, ``inverse`` and ``draw`` are the family's
+    ``_pdf``, ``_cdf``, ``_ppf`` and ``_rvs`` with the shapes bound, in
+    scipy's operations and order (``z * z`` for a square, numpy ufuncs, never
+    ``math``).  z = ((x - shift) - loc) / scale is masked as ``rv_continuous``
+    does: the pdf is zero outside [lower, upper] (outside (lower, upper) unless
+    ``closed``), the cdf zero at and below ``lower`` and one at and above
+    ``upper``, NaN stays NaN.  A float z (numpy float64 included) takes Python
+    branches, the quadrature's hot path, an array z :func:`_place`; both round
+    alike, bit for bit.  Quantiles and draws are scipy's ``* scale + loc``,
+    then ``+ shift``: folding loc + shift would round differently.
+    """
 
-    def support(self):
-        return (np.float64(self.lower * self.scale + self.loc),
-                np.float64(self.upper * self.scale + self.loc))
-
-    def at(self, shift: float) -> ScalarFunctions:
-        """pdf, cdf and quantile of one Python float, for the base variate plus ``shift``.
-
-        They standardise as z = ((x - shift) - loc) / scale, mask with Python
-        branches instead of arrays and call the same family formulas.  Python
-        floats round each operation as numpy's float64 does, so every value is
-        bitwise equal to the array methods' (shifted by hand), and each is
-        returned as a numpy float64.
-        """
-        loc, scale, lower, upper, closed = (
-            self.loc, self.scale, self.lower, self.upper, self.closed)
-        density, distribution, inverse = self.density, self.distribution, self.inverse
-
-        def pdf(x):
-            z = ((x - shift) - loc) / scale
+    def pdf(x):
+        z = ((x - shift) - loc) / scale
+        if isinstance(z, float):
             if lower < z < upper or (closed and (z == lower or z == upper)):
                 return density(z) / scale
             return _NAN if z != z else _ZERO
+        inside = (lower <= z) & (z <= upper) if closed else (lower < z) & (z < upper)
+        return _place(z, inside, 0.0, lambda z: density(z) / scale)
 
-        def cdf(x):
-            z = ((x - shift) - loc) / scale
+    def cdf(x):
+        z = ((x - shift) - loc) / scale
+        if isinstance(z, float):
             if lower < z < upper:
                 return distribution(z)
-            if z != z:
-                return _NAN
-            return _ONE if z >= upper else _ZERO
+            return _NAN if z != z else _ONE if z >= upper else _ZERO
+        return _place(z, (lower < z) & (z < upper), (z >= upper) * 1.0, distribution)
 
-        def quantile(q):
-            if 0 < q < 1:
-                return inverse(q) * scale + loc + shift
-            return _NAN
+    def quantile(q):
+        if isinstance(q, float):
+            return inverse(q) * scale + loc + shift if 0 < q < 1 else _NAN
+        return _place(q, (0 < q) & (q < 1), np.nan, lambda q: inverse(q) * scale + loc + shift)
 
-        return ScalarFunctions(pdf, cdf, quantile)
+    return Kernel(pdf, cdf, quantile, lambda rng, size: draw(rng, size) * scale + loc + shift,
+                  (np.float64(lower * scale + loc) + shift,
+                   np.float64(upper * scale + loc) + shift))
 
 
 def _place(z, inside, fill, formula):
@@ -252,42 +233,31 @@ def _place(z, inside, fill, formula):
     return out
 
 
-_ZERO, _ONE, _NAN = np.float64(0.0), np.float64(1.0), np.float64(np.nan)
-
-
-class ScalarFunctions(NamedTuple):
-    """One spec's pdf, cdf and quantile, each a function of one Python float."""
-
-    pdf: Callable[[float], np.float64]
-    cdf: Callable[[float], np.float64]
-    quantile: Callable[[float], np.float64]
+def scalar_functions(spec: DistributionSpec) -> Kernel:
+    """``spec``'s cached :class:`Kernel`: bound once for many Python floats, its
+    functions skip ``np.asarray``, the spec hash of the cache and array masks."""
+    return _kernel(spec)
 
 
 @lru_cache(maxsize=256)
-def scalar_functions(spec: DistributionSpec) -> ScalarFunctions:
-    """``spec``'s pdf, cdf and quantile for one number (see :meth:`_Kernel.at`).
+def _kernel(spec: DistributionSpec) -> Kernel:
+    """``spec``'s :class:`Kernel`, built once per spec (see :func:`_bind`).
 
-    Bind them once for many points: each call then skips ``np.asarray``, the
-    kernel cache lookup (which hashes the spec) and array masking.
+    No frozen scipy.stats object is made: creating one costs time and leaves
+    memory resident.
     """
-    return _kernel(spec).at(spec.shift)
-
-
-@lru_cache(maxsize=256)
-def _kernel(spec: DistributionSpec) -> _Kernel:
-    """Evaluation kernel for the unshifted base variate (see :class:`_Kernel`)."""
-    p = dict(spec.params)
+    p, shift = dict(spec.params), spec.shift
     if spec.family == "normal":
-        return _Kernel(
-            p["mean"], p["sd"], -np.inf, np.inf, True,
+        return _bind(
+            shift, p["mean"], p["sd"], -np.inf, np.inf, True,
             lambda z: np.exp(-(z * z) / 2.0) / _SQRT_2PI,
             special.ndtr,
             special.ndtri,
             lambda rng, size: rng.standard_normal(size),
         )
     if spec.family == "exponential":
-        return _Kernel(
-            0.0, 1.0 / p["rate"], 0.0, np.inf, True,
+        return _bind(
+            shift, 0.0, 1.0 / p["rate"], 0.0, np.inf, True,
             lambda z: np.exp(-z),
             lambda z: -special.expm1(-z),
             lambda q: -special.log1p(-q),
@@ -301,8 +271,8 @@ def _kernel(spec: DistributionSpec) -> _Kernel:
             log_z = np.log(z)
             return np.exp(-(log_z * log_z) / two_s2 - np.log(s * z * _SQRT_2PI))
 
-        return _Kernel(
-            0.0, np.exp(p["logMean"]), 0.0, np.inf, False,
+        return _bind(
+            shift, 0.0, np.exp(p["logMean"]), 0.0, np.inf, False,
             density,
             lambda z: special.ndtr(np.log(z) / s),
             lambda q: np.exp(s * special.ndtri(q)),
@@ -313,8 +283,8 @@ def _kernel(spec: DistributionSpec) -> _Kernel:
         power = df / 2. - 1
         log_norm = special.gammaln(df / 2.)
         log_2_half_df = (np.log(2) * df) / 2.
-        return _Kernel(
-            0.0, 1.0, 0.0, np.inf, True,
+        return _bind(
+            shift, 0.0, 1.0, 0.0, np.inf, True,
             lambda z: np.exp(special.xlogy(power, z) - z / 2. - log_norm - log_2_half_df),
             lambda z: special.chdtr(df, z),
             lambda q: 2 * special.gammaincinv(df / 2, q),
@@ -324,8 +294,8 @@ def _kernel(spec: DistributionSpec) -> _Kernel:
         df = p["df"]
         log_norm = np.log(special.poch(0.5 * df, 0.5)) - 0.5 * (np.log(df) + np.log(np.pi))
         half_df1 = (df + 1) / 2
-        return _Kernel(
-            p["location"], p["scale"], -np.inf, np.inf, True,
+        return _bind(
+            shift, p["location"], p["scale"], -np.inf, np.inf, True,
             lambda z: np.exp(log_norm - half_df1 * np.log1p(z * z / df)),
             lambda z: special.stdtr(df, z),
             lambda q: special.stdtrit(df, q),

@@ -113,8 +113,8 @@ def second_moment_integrals(F: DistributionSpec, G: DistributionSpec) -> Exceeda
     Raises QuadratureAccuracyError when the bound exceeds RESULT_TOL, so no
     result rests on unconverged integrals.
     """
-    f_pdf, f_cdf, _ = scalar_functions(F)
-    g_pdf, g_cdf, _ = scalar_functions(G)
+    f_pdf, f_cdf = scalar_functions(F)[:2]
+    g_pdf, g_cdf = scalar_functions(G)[:2]
     over_f, over_g = _domains(F, G)
     p, e1 = _quad(lambda x: g_cdf(x) * f_pdf(x), *over_f)
     i1, e2 = _quad(lambda x: g_cdf(x) ** 2 * f_pdf(x), *over_f)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from wmwdesign import exceedance
+from wmwdesign import cli, exceedance
 from wmwdesign.cli import main
 
 NORMAL_SHIFTED = '{"family":"normal","params":{"mean":0.75,"sd":1}}'
@@ -46,6 +46,36 @@ def test_power_rejects_malformed_spec(capsys):
     assert "params.sd" in err
 
 
+@pytest.mark.parametrize("spec", [
+    '{"family":["normal"]}',
+    '{"family":"normal","params":["mean","sd"]}',
+    '{"family":"normal","params":5}',
+    '{"family":"normal","params":{"mean":"abc","sd":1}}',
+    '{"family":"normal","params":{"mean":true,"sd":1}}',
+    '{"family":"normal","params":{"mean":0,"sd":1},"shift":"x"}',
+], ids=["family list", "params list", "params number", "mean string", "mean true",
+        "shift string"])
+def test_malformed_spec_is_one_line_usage_error(capsys, spec):
+    code, out, err = run(capsys, "power", "--f-spec", spec, "--g-spec", NORMAL_STD)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: --f-spec: spec.")
+
+
+@pytest.mark.parametrize("command", [
+    ("exact-null", "--m", "3", "--n", "2"),
+    ("optimal-design", "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD, "--n", "20"),
+], ids=["exact-null", "optimal-design"])
+def test_unwritable_out_is_one_line_error(tmp_path, capsys, command):
+    # the CSV is written before the JSON, so a failed write prints nothing
+    code, out, err = run(capsys, *command, "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "x.csv" in err
+
+
 def test_optimal_design_subcommand(tmp_path, capsys):
     curve = tmp_path / "curve.csv"
     code, out, _ = run(
@@ -84,6 +114,44 @@ def test_deficiency_symmetric(capsys):
     data = json.loads(out)
     assert data["deficiency"] == pytest.approx(1 / 3, abs=1e-9)
     assert data["method"] == "symmetric_closed_form"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--n", "50", "--epsilon", "0.4"),
+    ("--alpha", "0.01", "--side", "two_sided"),
+    ("--n", "50"),
+], ids=["n epsilon", "alpha side", "n"])
+def test_deficiency_general_flags_without_specs_are_usage_errors(capsys, flags):
+    # the closed form takes only --omega; it must not silently ignore the rest
+    code, out, err = run(capsys, "deficiency", "--omega", "0.3", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+
+
+def test_deficiency_general_passes_its_flags_on(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "deficiency_general",
+                        lambda *args, **kwargs: calls.append((args[2:], kwargs)) or 0.0)
+    specs = ("--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD, "--n", "30")
+    assert run(capsys, "deficiency", "--omega", "0.2", *specs)[0] == 0
+    assert run(capsys, "deficiency", "--omega", "0.2", *specs, "--alpha", "0.01",
+               "--side", "two_sided", "--epsilon", "0.2")[0] == 0
+    assert calls == [((30, 0.2), {}),
+                     ((30, 0.2), {"alpha": 0.01, "side": "two_sided", "epsilon": 0.2})]
+
+
+@pytest.mark.parametrize("grid", [",", "", " , "])
+def test_power_curve_empty_grid_is_usage_error(capsys, grid):
+    code, out, err = run(
+        capsys, "power-curve", "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD,
+        "--n", "20", "--grid", grid,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "--grid" in err
 
 
 def test_deficiency_general(capsys):

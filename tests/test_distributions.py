@@ -145,6 +145,22 @@ def test_json_parse_errors_name_the_field():
         DistributionSpec.from_dict(
             {"family": "exponential", "params": {"rate": 1, "sd": 2}}
         )
+    # malformed values are input errors that name the field, never TypeErrors,
+    # and a JSON true is not the number 1
+    normal_params = {"mean": 0, "sd": 1}
+    for data, field in [
+        ({"family": ["normal"], "params": normal_params}, "spec.family"),
+        ({"family": "normal", "params": ["mean", "sd"]}, "spec.params"),
+        ({"family": "normal", "params": 5}, "spec.params"),
+        ({"family": "normal", "params": {"mean": "abc", "sd": 1}}, "spec.params.mean"),
+        ({"family": "normal", "params": {"mean": True, "sd": 1}}, "spec.params.mean"),
+        ({"family": "normal", "params": {"mean": None, "sd": 1}}, "spec.params.mean"),
+        ({"family": "normal", "params": {"mean": 0, "sd": 10**400}}, "spec.params.sd"),
+        ({"family": "normal", "params": normal_params, "shift": "x"}, "spec.shift"),
+        ({"family": "normal", "params": normal_params, "shift": math.nan}, "spec.shift"),
+    ]:
+        with pytest.raises(ParameterError, match=f"^{field.replace('.', '[.]')} "):
+            DistributionSpec.from_dict(data)
 
 
 def test_json_family_aliases():
@@ -237,6 +253,22 @@ def test_support_bitwise_equal_to_scipy(spec):
     got = spec.support()
     np.testing.assert_array_equal(got, (lo + spec.shift, hi + spec.shift))
     assert type(got[0]) is type(lo + spec.shift)
+
+
+@pytest.mark.parametrize("spec", [spec for spec in KERNEL_SPECS if spec.shift],
+                         ids=_kernel_id)
+def test_two_dimensional_input_keeps_its_shape(spec):
+    # the array branch masks by boolean indexing, which flattens; the result
+    # must come back in the input's shape with the 1-D call's bits
+    points = _points(spec)[:48].reshape(6, 8)
+    levels = np.linspace(0.01, 0.99, 48).reshape(8, 6)
+    with np.errstate(all="ignore"):
+        for method, x in (("pdf", points), ("cdf", points), ("quantile", levels)):
+            got = getattr(spec, method)(x)
+            assert got.shape == x.shape
+            assert got.tobytes() == getattr(spec, method)(x.ravel()).tobytes()
+            kernel = getattr(scalar_functions(spec), method)
+            assert kernel(x).tobytes() == got.tobytes()
 
 
 SAMPLE_SHAPES = [(2048, 5), (2048, 70), (7, 3), 1, (1,), (1, 1)]
