@@ -78,6 +78,14 @@ def _write_csv(path, header, rows):
             writer.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in row])
 
 
+def _emit_rows(header, rows, path):
+    """Write rows as CSV to ``path`` when given, else print them as a JSON list."""
+    if path:
+        _write_csv(path, header, rows)
+    else:
+        _emit_json([dict(zip(header, row)) for row in rows])
+
+
 def _load_spec(text: str, flag: str) -> DistributionSpec:
     try:
         if text.lstrip().startswith("{"):
@@ -87,6 +95,10 @@ def _load_spec(text: str, flag: str) -> DistributionSpec:
         raise UsageError(f"{flag}: cannot read spec file: {exc}") from exc
     except ParameterError as exc:
         raise UsageError(f"{flag}: {exc}") from exc
+
+
+def _load_specs(args):
+    return _load_spec(args.f_spec, "--f-spec"), _load_spec(args.g_spec, "--g-spec")
 
 
 def _resolve_design(args) -> Design:
@@ -110,6 +122,13 @@ def _design_dict(d):
     return {"m": d.m, "n": d.n, "omega": d.omega}
 
 
+def _mc_columns(F, G, point, alpha, side, trials, seed):
+    """Simulated exact-WMW power and its standard error at a curve point's design."""
+    plan = SimulationPlan(F, G, Design(point.m, point.n), alpha, side, trials=trials, seed=seed)
+    sim = simulate_power(plan, test="wmw_exact")
+    return [sim.rejection_rate, sim.standard_error]
+
+
 def _design_report_dict(report):
     # explicit, because DesignReport's field order is not the JSON key order
     return {
@@ -125,8 +144,7 @@ def _design_report_dict(report):
 
 
 def _cmd_power(args):
-    F = _load_spec(args.f_spec, "--f-spec")
-    G = _load_spec(args.g_spec, "--g-spec")
+    F, G = _load_specs(args)
     d = _resolve_design(args)
     res = wmw_power(PowerQuery(F, G, d, args.alpha, args.side))
     _emit_json({"design": _design_dict(d), **asdict(res)})
@@ -134,8 +152,7 @@ def _cmd_power(args):
 
 
 def _cmd_optimal_design(args):
-    F = _load_spec(args.f_spec, "--f-spec")
-    G = _load_spec(args.g_spec, "--g-spec")
+    F, G = _load_specs(args)
     report = design_mod.optimal_design(
         F, G, args.n, alpha=args.alpha, side=args.side, epsilon=args.epsilon
     )
@@ -150,8 +167,7 @@ def _cmd_optimal_design(args):
 
 
 def _cmd_power_curve(args):
-    F = _load_spec(args.f_spec, "--f-spec")
-    G = _load_spec(args.g_spec, "--g-spec")
+    F, G = _load_specs(args)
     grid = None
     if args.grid is not None:
         try:
@@ -166,14 +182,8 @@ def _cmd_power_curve(args):
     if args.mc_trials:
         header += ["power_mc", "mc_se"]
         for row, p in zip(rows, points):
-            plan = SimulationPlan(F, G, Design(p.m, p.n), args.alpha, args.side,
-                                  trials=args.mc_trials, seed=args.seed)
-            sim = simulate_power(plan, test="wmw_exact")
-            row += [sim.rejection_rate, sim.standard_error]
-    if args.out:
-        _write_csv(args.out, header, rows)
-    else:
-        _emit_json([dict(zip(header, row)) for row in rows])
+            row += _mc_columns(F, G, p, args.alpha, args.side, args.mc_trials, args.seed)
+    _emit_rows(header, rows, args.out)
     return EXIT_OK
 
 
@@ -182,10 +192,9 @@ def _cmd_deficiency(args):
     # specs is caught instead of ignored by the closed form
     general = {"alpha": args.alpha, "side": args.side, "epsilon": args.epsilon}
     if args.f_spec or args.g_spec:
-        if not (args.f_spec and args.g_spec and args.n):
+        if not (args.f_spec and args.g_spec and args.n is not None):
             raise UsageError("general deficiency needs --f-spec, --g-spec and --n")
-        F = _load_spec(args.f_spec, "--f-spec")
-        G = _load_spec(args.g_spec, "--g-spec")
+        F, G = _load_specs(args)
         d = deficiency_general(F, G, args.n, args.omega,
                                **{k: v for k, v in general.items() if v is not None})
         _emit_json({"omega": args.omega, "deficiency": d, "method": "general"})
@@ -220,8 +229,7 @@ def _cmd_exact_null(args):
 
 
 def _cmd_simulate(args):
-    F = _load_spec(args.f_spec, "--f-spec")
-    G = _load_spec(args.g_spec, "--g-spec")
+    F, G = _load_specs(args)
     d = _resolve_design(args)
     plan = SimulationPlan(F, G, d, args.alpha, args.side, trials=args.trials, seed=args.seed)
     res = simulate_power(plan, test=args.test)
@@ -230,8 +238,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_check_identities(args):
-    F = _load_spec(args.f_spec, "--f-spec")
-    G = _load_spec(args.g_spec, "--g-spec")
+    F, G = _load_specs(args)
     out = asdict(check_identities(F, G))
     out.update(out.pop("summary"))
     _emit_json(out)
@@ -240,14 +247,8 @@ def _cmd_check_identities(args):
 
 def _cmd_reproduce(args):
     if args.figure == "deficiency":
-        rows = []
-        for i in range(1, 100):
-            omega = i / 100.0
-            rows.append((omega, deficiency_symmetric(omega)))
-        if args.out:
-            _write_csv(args.out, ["omega", "deficiency"], rows)
-        else:
-            _emit_json([{"omega": o, "deficiency": d} for o, d in rows])
+        rows = [(i / 100.0, deficiency_symmetric(i / 100.0)) for i in range(1, 100)]
+        _emit_rows(["omega", "deficiency"], rows, args.out)
         return EXIT_OK
 
     if args.figure == "epping":
@@ -268,16 +269,10 @@ def _cmd_reproduce(args):
         trials = args.trials if args.trials is not None else sc.trials
         for p in design_mod.power_curve(sc.F, sc.G, sc.total_n, alpha=sc.alpha,
                                         side=sc.side, grid=grid):
-            plan = SimulationPlan(sc.F, sc.G, Design(p.m, p.n), sc.alpha, sc.side,
-                                  trials=trials, seed=seed)
-            sim = simulate_power(plan, test="wmw_exact")
-            rows.append((sc.name, p.omega, p.m, p.n, p.power,
-                         sim.rejection_rate, sim.standard_error))
+            rows.append([sc.name, p.omega, p.m, p.n, p.power,
+                         *_mc_columns(sc.F, sc.G, p, sc.alpha, sc.side, trials, seed)])
     header = ["scenario", "omega", "m", "n", "power_approx", "power_mc", "mc_se"]
-    if args.out:
-        _write_csv(args.out, header, rows)
-    else:
-        _emit_json([dict(zip(header, row)) for row in rows])
+    _emit_rows(header, rows, args.out)
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
+from scipy import special, stats
 
 from .distributions import DistributionSpec
 from .moments import Design, alt_moments
@@ -57,7 +57,7 @@ class PowerResult:
     approx_power: float
     mu_n: float
     sigma2_n: float
-    method: str  # wmw_normal_approx | welch_approx | monte_carlo
+    method: str  # wmw_normal_approx | welch_approx
     low_confidence: bool = False
     degenerate_variance: bool = False
 
@@ -176,12 +176,11 @@ def welch_power(mu1: float, sd1: float, mu2: float, sd2: float, design: Design,
     se2 = v1 + v2
     df = se2 * se2 / (v1 * v1 / (m - 1) + v2 * v2 / (n - 1)) if min(m, n) > 1 else 1.0
     ncp = (mu1 - mu2) / math.sqrt(se2)
-    if side == ONE_SIDED_UPPER:
-        tcrit = stats.t.ppf(1.0 - alpha, df)
-        power = stats.nct.sf(tcrit, df, ncp)
-    else:
-        tcrit = stats.t.ppf(1.0 - alpha / 2.0, df)
-        power = stats.nct.sf(tcrit, df, ncp) + stats.nct.cdf(-tcrit, df, ncp)
+    two_sided = side == TWO_SIDED
+    tcrit = special.stdtrit(df, 1.0 - alpha / 2.0 if two_sided else 1.0 - alpha)
+    power = stats.nct.sf(tcrit, df, ncp)  # the noncentral-t sf has no public ufunc
+    if two_sided:
+        power += special.nctdtr(df, ncp, -tcrit)
     return PowerResult(float(power), ncp, 1.0, "welch_approx",
                        low_confidence=min(m, n) < 2)
 

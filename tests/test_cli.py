@@ -255,6 +255,40 @@ def test_reproduce_epping_out_writes_report(tmp_path, capsys):
     assert out_path.read_text() == stdout_report
 
 
+@pytest.mark.parametrize("n", ["0", "-5", "1"])
+def test_deficiency_general_total_without_allocations_is_usage_error(capsys, n):
+    # --n 0 used to be taken for a missing --n
+    code, out, err = run(
+        capsys, "deficiency", "--omega", "0.5", "--f-spec", NORMAL_SHIFTED,
+        "--g-spec", NORMAL_STD, "--n", n,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: no realizable allocations for N={n} with epsilon=0.1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("power-curve", "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD, "--n", "30",
+     "--grid", "0.3,0.5", "--mc-trials", "200", "--seed", "3"),
+    ("reproduce", "--figure", "deficiency"),
+    ("reproduce", "--figure", "panel-h", "--trials", "100", "--seed", "2"),
+], ids=["power-curve", "reproduce deficiency", "reproduce panel"])
+def test_json_and_csv_carry_the_same_rows(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    out_path = tmp_path / "rows.csv"
+    code, csv_out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert csv_out == ""
+    with open(out_path) as fh:
+        csv_rows = list(csv.DictReader(fh))
+    json_rows = json.loads(out)
+    assert [list(r) for r in json_rows] == [list(r) for r in csv_rows]
+    # both round to 10 significant digits, so the values are equal, not close
+    assert json_rows == [{k: v if k == "scenario" else json.loads(v) for k, v in r.items()}
+                         for r in csv_rows]
+
+
 def test_deficiency_search_failure_is_numeric_exit(capsys):
     code, out, err = run(
         capsys, "deficiency", "--omega", "0.5", "--n", "50",

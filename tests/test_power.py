@@ -1,5 +1,10 @@
+import itertools
+import math
+from decimal import ROUND_HALF_EVEN, Decimal
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from wmwdesign import (
     ConfigurationError,
@@ -104,6 +109,36 @@ def test_deficiency_general_zero_at_optimum():
     assert deficiency_general(F, G, 50, 0.5) == 0.0
 
 
+@pytest.mark.parametrize("F,omega,skipped,expected", [
+    # 0.4 rounds down and 0.5 rounds half to even, so totals 4 and 5 give m = 0
+    (normal(0.75, 1), 0.1, [4, 5], 1.75),
+    # every total up to 50 gives m = 0; a group of one reaches the target from
+    # total 11 on, so a search that clamped m to 1 instead of skipping would
+    # stop there
+    (normal(1, 1), 0.01, list(range(4, 51)), 11.75),
+])
+def test_deficiency_search_skips_totals_that_leave_a_group_empty(F, omega, skipped, expected):
+    G, total_n, epsilon = normal(0, 1), 4, 0.1
+
+    def power(m, n):
+        return wmw_power(PowerQuery(F, G, Design(m, n))).approx_power
+
+    # the documented rule, walked independently: m = round(omega * t) with
+    # halves to even, n = t - m, totals with an empty group passed over
+    target = max(power(m, total_n - m)
+                 for m in range(1, total_n) if epsilon <= m / total_n <= 1 - epsilon)
+    walked = []
+    for t in range(total_n, 20 * total_n + 1):
+        m = int(Decimal(omega * t).to_integral_value(rounding=ROUND_HALF_EVEN))
+        if m < 1 or t - m < 1:
+            walked.append(t)
+        elif power(m, t - m) >= target - 1e-12:
+            break
+    assert walked == skipped
+    assert t / total_n - 1.0 == expected
+    assert deficiency_general(F, G, total_n, omega, epsilon=epsilon) == expected
+
+
 def test_deficiency_general_positive_off_optimum():
     F, G = normal(0.75, 1), normal(0, 1)
     d = deficiency_general(F, G, 50, 0.25)
@@ -131,12 +166,42 @@ def test_welch_power_peaks_near_closed_form_allocation():
     assert abs(best_m / 50 - welch_optimal_omega(2.0, 1.0)) <= 0.08
 
 
-def test_welch_power_agrees_with_simulation():
+@pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
+def test_welch_power_agrees_with_simulation(side):
     F, G = normal(0.75, 2), normal(0, 1)
     d = Design(25, 25)
-    approx = welch_power(0.75, 2.0, 0.0, 1.0, d).approx_power
-    sim = simulate_power(SimulationPlan(F, G, d, trials=10_000, seed=13), test="t_het")
+    approx = welch_power(0.75, 2.0, 0.0, 1.0, d, side=side).approx_power
+    sim = simulate_power(SimulationPlan(F, G, d, side=side, trials=10_000, seed=13), test="t_het")
     assert abs(approx - sim.rejection_rate) < 0.02
+
+
+def _oracle_welch_power(mu1, sd1, mu2, sd2, m, n, alpha, side):
+    """Welch power written with scipy.stats' t quantile and noncentral-t cdf and sf."""
+    v1, v2 = sd1 * sd1 / m, sd2 * sd2 / n
+    se2 = v1 + v2
+    df = se2 * se2 / (v1 * v1 / (m - 1) + v2 * v2 / (n - 1)) if min(m, n) > 1 else 1.0
+    ncp = (mu1 - mu2) / math.sqrt(se2)
+    if side == "one_sided_upper":
+        return float(stats.nct.sf(stats.t.ppf(1.0 - alpha, df), df, ncp))
+    tcrit = stats.t.ppf(1.0 - alpha / 2.0, df)
+    return float(stats.nct.sf(tcrit, df, ncp) + stats.nct.cdf(-tcrit, df, ncp))
+
+
+def test_welch_power_matches_scipy_stats_oracle_bitwise():
+    cases = itertools.product(
+        [-1.0, 0.0, 0.5, 2.5],                     # mu1, against mu2 = 0
+        [(1.0, 1.0), (2.0, 0.5), (0.3, 3.0)],      # sd1, sd2
+        [(1, 1), (1, 6), (6, 1), (3, 11), (25, 25), (40, 9)],
+        [0.01, 0.05, 0.3],
+        ["one_sided_upper", TWO_SIDED],
+    )
+    mismatches = []
+    for mu1, (sd1, sd2), (m, n), alpha, side in cases:
+        got = welch_power(mu1, sd1, 0.0, sd2, Design(m, n), alpha, side).approx_power
+        want = _oracle_welch_power(mu1, sd1, 0.0, sd2, m, n, alpha, side)
+        if got.hex() != want.hex():
+            mismatches.append((mu1, sd1, sd2, m, n, alpha, side, got, want))
+    assert mismatches == []
 
 
 def test_welch_deficiency_zero_at_equal_sds():
