@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy import integrate
 
 from .distributions import DistributionSpec, scalar_functions
 
@@ -89,6 +88,8 @@ def _domains(F: DistributionSpec, G: DistributionSpec):
 
 
 def _quad(fn, lo, hi, points=None) -> tuple[float, float]:
+    from scipy import integrate  # imported on first use: importing wmwdesign stays cheap
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, err = integrate.quad(
@@ -140,6 +141,8 @@ def check_identities(F: DistributionSpec, G: DistributionSpec) -> IdentityReport
     Residual (b): the nested-integral representation
     int (1-F)^2 g  ==  int [ int_{-inf}^{x} G f dy + G(x)(1-F(x)) ] f(x) dx.
     """
+    from scipy import integrate  # imported on first use: importing wmwdesign stays cheap
+
     s = second_moment_integrals(F, G)
 
     f_cdf, g_pdf = scalar_functions(F).cdf, scalar_functions(G).pdf

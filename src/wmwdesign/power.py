@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import special, stats
+from scipy import special
 
 from .distributions import DistributionSpec
 from .moments import Design, alt_moments
@@ -63,6 +63,8 @@ class PowerResult:
 
 
 def _normal_power(mu: float, sigma2: float, alpha: float, side: str) -> float:
+    from scipy import stats  # imported on first use: importing wmwdesign stays cheap
+
     sigma = math.sqrt(sigma2)
     if side == ONE_SIDED_UPPER:
         return 1.0 - stats.norm.cdf((stats.norm.ppf(1.0 - alpha) - mu) / sigma)
@@ -157,20 +159,27 @@ def deficiency_general(F: DistributionSpec, G: DistributionSpec, total_n: int,
 # -- Welch t-test baseline ----------------------------------------------
 
 
+def _check_sds(sd1: float, sd2: float):
+    if not (0.0 < sd1 < math.inf and 0.0 < sd2 < math.inf):
+        raise ValueError(f"standard deviations must be finite and > 0, got {sd1}, {sd2}")
+
+
 def welch_optimal_omega(sd1: float, sd2: float) -> float:
     """Allocation 1 / (1 + sd2/sd1), favoring the higher-variance group."""
-    if sd1 <= 0 or sd2 <= 0:
-        raise ValueError("standard deviations must be > 0")
+    _check_sds(sd1, sd2)
     return 1.0 / (1.0 + sd2 / sd1)
 
 
 def welch_power(mu1: float, sd1: float, mu2: float, sd2: float, design: Design,
                 alpha: float = 0.05, side: str = ONE_SIDED_UPPER) -> PowerResult:
     """Power of the Welch t-test via the noncentral t distribution."""
+    from scipy import stats  # imported on first use: importing wmwdesign stays cheap
+
     _check_alpha(alpha)
     _check_side(side)
-    if sd1 <= 0 or sd2 <= 0:
-        raise ValueError("standard deviations must be > 0")
+    _check_sds(sd1, sd2)
+    if not (math.isfinite(mu1) and math.isfinite(mu2)):
+        raise ValueError(f"means must be finite, got {mu1}, {mu2}")
     m, n = design.m, design.n
     v1, v2 = sd1 * sd1 / m, sd2 * sd2 / n
     se2 = v1 + v2
@@ -178,9 +187,13 @@ def welch_power(mu1: float, sd1: float, mu2: float, sd2: float, design: Design,
     ncp = (mu1 - mu2) / math.sqrt(se2)
     two_sided = side == TWO_SIDED
     tcrit = special.stdtrit(df, 1.0 - alpha / 2.0 if two_sided else 1.0 - alpha)
-    power = stats.nct.sf(tcrit, df, ncp)  # the noncentral-t sf has no public ufunc
+    # the noncentral-t sf has no public ufunc; the lower tail is the upper
+    # tail at -ncp, because nctdtr(df, ncp, -tcrit) is NaN once ncp passes ~6.6
     if two_sided:
-        power += special.nctdtr(df, ncp, -tcrit)
+        upper, lower = stats.nct.sf(tcrit, df, (ncp, -ncp))
+        power = upper + lower
+    else:
+        power = stats.nct.sf(tcrit, df, ncp)
     return PowerResult(float(power), ncp, 1.0, "welch_approx",
                        low_confidence=min(m, n) < 2)
 

@@ -176,15 +176,18 @@ def test_welch_power_agrees_with_simulation(side):
 
 
 def _oracle_welch_power(mu1, sd1, mu2, sd2, m, n, alpha, side):
-    """Welch power written with scipy.stats' t quantile and noncentral-t cdf and sf."""
+    """Welch power and its upper-tail term, written with scipy.stats' t quantile
+    and noncentral-t cdf and sf."""
     v1, v2 = sd1 * sd1 / m, sd2 * sd2 / n
     se2 = v1 + v2
     df = se2 * se2 / (v1 * v1 / (m - 1) + v2 * v2 / (n - 1)) if min(m, n) > 1 else 1.0
     ncp = (mu1 - mu2) / math.sqrt(se2)
     if side == "one_sided_upper":
-        return float(stats.nct.sf(stats.t.ppf(1.0 - alpha, df), df, ncp))
+        upper = float(stats.nct.sf(stats.t.ppf(1.0 - alpha, df), df, ncp))
+        return upper, upper
     tcrit = stats.t.ppf(1.0 - alpha / 2.0, df)
-    return float(stats.nct.sf(tcrit, df, ncp) + stats.nct.cdf(-tcrit, df, ncp))
+    upper = stats.nct.sf(tcrit, df, ncp)
+    return float(upper + stats.nct.cdf(-tcrit, df, ncp)), float(upper)
 
 
 def test_welch_power_matches_scipy_stats_oracle_bitwise():
@@ -195,13 +198,50 @@ def test_welch_power_matches_scipy_stats_oracle_bitwise():
         [0.01, 0.05, 0.3],
         ["one_sided_upper", TWO_SIDED],
     )
-    mismatches = []
+    mismatches, oracle_nan = [], []
     for mu1, (sd1, sd2), (m, n), alpha, side in cases:
         got = welch_power(mu1, sd1, 0.0, sd2, Design(m, n), alpha, side).approx_power
-        want = _oracle_welch_power(mu1, sd1, 0.0, sd2, m, n, alpha, side)
-        if got.hex() != want.hex():
+        want, upper = _oracle_welch_power(mu1, sd1, 0.0, sd2, m, n, alpha, side)
+        if math.isnan(want):
+            # the oracle's lower tail, stats.nct.cdf, is NaN at a large
+            # noncentrality, where that tail is negligible
+            oracle_nan.append((mu1, sd1, sd2, m, n, alpha, side))
+            ok = math.isfinite(got) and abs(got - upper) <= 1e-12
+        else:
+            ok = got.hex() == want.hex()
+        if not ok:
             mismatches.append((mu1, sd1, sd2, m, n, alpha, side, got, want))
     assert mismatches == []
+    assert oracle_nan != []  # the NaN branch is exercised
+
+
+def test_welch_two_sided_power_is_finite_at_large_noncentrality():
+    # the lower tail from nctdtr(df, ncp, -tcrit) was NaN here (ncp 10.6),
+    # and the NaN made the deficiency search return 0.06
+    assert welch_power(3, 1, 0, 1, Design(25, 25), side=TWO_SIDED).approx_power == 1.0
+    assert welch_deficiency(3, 1, 0, 1, 50, 0.5, side=TWO_SIDED) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", range(4))
+def test_welch_power_rejects_non_finite_means_and_sds(bad, position):
+    args = [0.5, 1.0, 0.0, 1.0]
+    args[position] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        welch_power(*args, Design(25, 25))
+
+
+@pytest.mark.parametrize("sd1,sd2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                     (1.0, math.inf)])
+def test_welch_optimal_omega_rejects_non_finite_sds(sd1, sd2):
+    with pytest.raises(ValueError, match="must be finite"):
+        welch_optimal_omega(sd1, sd2)
+
+
+def test_welch_deficiency_with_nan_sd_is_value_error():
+    # it used to search every total up to 20 N and raise AllocationSearchError
+    with pytest.raises(ValueError, match="must be finite"):
+        welch_deficiency(0.5, math.nan, 0, 1, 50, 0.5)
 
 
 def test_welch_deficiency_zero_at_equal_sds():
