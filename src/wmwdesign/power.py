@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from scipy import special
 
 from .distributions import DistributionSpec
-from .moments import Design, alt_moments
+from .moments import Design, MomentSummary, alt_moments
 
 ONE_SIDED_UPPER = "one_sided_upper"
 TWO_SIDED = "two_sided"
@@ -62,30 +62,41 @@ class PowerResult:
     degenerate_variance: bool = False
 
 
-def _normal_power(mu: float, sigma2: float, alpha: float, side: str) -> float:
+def _critical_values(alpha: float, side: str) -> float | tuple[float, float]:
+    """The query's normal critical value z_{1-alpha}, or (z_{alpha/2}, z_{1-alpha/2}).
+
+    ``special.ndtri`` is bitwise equal to ``stats.norm.ppf``; it depends on the
+    query only, so a scan over designs computes it once.
+    """
+    _check_alpha(alpha)
+    _check_side(side)
+    if side == ONE_SIDED_UPPER:
+        return float(special.ndtri(1.0 - alpha))
+    return float(special.ndtri(alpha / 2.0)), float(special.ndtri(1.0 - alpha / 2.0))
+
+
+def _power(ms: MomentSummary, crit: float | tuple[float, float], side: str) -> float:
+    """Normal-approximation power of one design from its moments and the query's critical values."""
+    if ms.sigma2_n <= 0.0:
+        # all mass of U on one side; the normal approximation degenerates
+        return 1.0 if ms.mu_n > 0 or (side == TWO_SIDED and ms.mu_n != 0) else 0.0
     from scipy import stats  # imported on first use: importing wmwdesign stays cheap
 
-    sigma = math.sqrt(sigma2)
+    mu, sigma = ms.mu_n, math.sqrt(ms.sigma2_n)
     if side == ONE_SIDED_UPPER:
-        return 1.0 - stats.norm.cdf((stats.norm.ppf(1.0 - alpha) - mu) / sigma)
-    return (
-        stats.norm.cdf((stats.norm.ppf(alpha / 2.0) - mu) / sigma)
-        - stats.norm.cdf((stats.norm.ppf(1.0 - alpha / 2.0) - mu) / sigma)
-        + 1.0
-    )
+        return float(1.0 - stats.norm.cdf((crit - mu) / sigma))
+    lower, upper = crit
+    return float(stats.norm.cdf((lower - mu) / sigma) - stats.norm.cdf((upper - mu) / sigma) + 1.0)
 
 
 def wmw_power(q: PowerQuery) -> PowerResult:
     """Approximate power of the WMW test from the standardized moments."""
     ms = alt_moments(q.design, q.F, q.G)
-    low = min(q.design.m, q.design.n) < MIN_GROUP_SIZE
-    if ms.sigma2_n <= 0.0:
-        # all mass of U on one side; the normal approximation degenerates
-        power = 1.0 if ms.mu_n > 0 or (q.side == TWO_SIDED and ms.mu_n != 0) else 0.0
-        return PowerResult(power, ms.mu_n, ms.sigma2_n, "wmw_normal_approx",
-                           low_confidence=True, degenerate_variance=True)
-    power = float(_normal_power(ms.mu_n, ms.sigma2_n, q.alpha, q.side))
-    return PowerResult(power, ms.mu_n, ms.sigma2_n, "wmw_normal_approx", low_confidence=low)
+    power = _power(ms, _critical_values(q.alpha, q.side), q.side)
+    degenerate = ms.sigma2_n <= 0.0
+    low = degenerate or min(q.design.m, q.design.n) < MIN_GROUP_SIZE
+    return PowerResult(power, ms.mu_n, ms.sigma2_n, "wmw_normal_approx",
+                       low_confidence=low, degenerate_variance=degenerate)
 
 
 def deficiency_symmetric(omega: float) -> float:
@@ -97,9 +108,14 @@ def deficiency_symmetric(omega: float) -> float:
 
 def wmw_power_at(F: DistributionSpec, G: DistributionSpec, alpha: float = 0.05,
                  side: str = ONE_SIDED_UPPER):
-    """The function (m, n) -> approximate WMW power of the design m/n."""
+    """The function (m, n) -> approximate WMW power of the design m/n.
+
+    Checks alpha and side, and computes the critical values, once for all designs.
+    """
+    crit = _critical_values(alpha, side)
+
     def power_at(m: int, n: int) -> float:
-        return wmw_power(PowerQuery(F, G, Design(m, n), alpha, side)).approx_power
+        return _power(alt_moments(Design(m, n), F, G), crit, side)
 
     return power_at
 
@@ -183,7 +199,14 @@ def welch_power(mu1: float, sd1: float, mu2: float, sd2: float, design: Design,
     m, n = design.m, design.n
     v1, v2 = sd1 * sd1 / m, sd2 * sd2 / n
     se2 = v1 + v2
-    df = se2 * se2 / (v1 * v1 / (m - 1) + v2 * v2 / (n - 1)) if min(m, n) > 1 else 1.0
+    df = 1.0
+    if min(m, n) > 1:
+        spread = v1 * v1 / (m - 1) + v2 * v2 / (n - 1)
+        df = se2 * se2 / spread if spread > 0.0 else math.nan
+    # finite sds whose squares overflow or underflow leave no usable se2 or df
+    if not (0.0 < se2 < math.inf and 0.0 < df < math.inf):
+        raise ValueError(f"standard deviations {sd1}, {sd2} at m={m}, n={n} give "
+                         f"se2={se2} and df={df}; both must be finite and > 0")
     ncp = (mu1 - mu2) / math.sqrt(se2)
     two_sided = side == TWO_SIDED
     tcrit = special.stdtrit(df, 1.0 - alpha / 2.0 if two_sided else 1.0 - alpha)

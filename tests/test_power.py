@@ -2,6 +2,7 @@ import itertools
 import math
 from decimal import ROUND_HALF_EVEN, Decimal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
@@ -18,12 +19,14 @@ from wmwdesign import (
     exponential,
     normal,
     optimal_design,
+    power_curve,
     simulate_power,
     welch_deficiency,
     welch_optimal_omega,
     welch_power,
     wmw_power,
 )
+from wmwdesign.power import _critical_values, wmw_power_at
 from wmwdesign.scenarios import SCENARIOS
 
 CATALOGUE_PAIRS = list(dict.fromkeys((s.F, s.G) for group in SCENARIOS.values() for s in group))
@@ -75,6 +78,74 @@ def test_reversal_duality(pair, m, n):
     assert rev.mu_n == pytest.approx(-res.mu_n, abs=1e-6)
     assert rev.sigma2_n == pytest.approx(res.sigma2_n, abs=1e-6)
     assert rev.approx_power == pytest.approx(res.approx_power, abs=1e-6)
+
+
+def _oracle_normal_power(mu, sigma2, alpha, side):
+    """The normal-approximation power as scipy.stats writes it, quantile and all."""
+    sigma = math.sqrt(sigma2)
+    if side == "one_sided_upper":
+        return float(1.0 - stats.norm.cdf((stats.norm.ppf(1.0 - alpha) - mu) / sigma))
+    return float(stats.norm.cdf((stats.norm.ppf(alpha / 2.0) - mu) / sigma)
+                 - stats.norm.cdf((stats.norm.ppf(1.0 - alpha / 2.0) - mu) / sigma) + 1.0)
+
+
+def test_power_matches_scipy_stats_oracle_bitwise():
+    cases = itertools.product(
+        CATALOGUE_PAIRS[:6] + [(normal(0, 1), normal(0, 1))],
+        [(1, 1), (1, 6), (6, 1), (3, 11), (25, 25), (40, 9), (150, 300)],
+        [1e-6, 0.01, 0.05, 0.1, 0.5, 0.9],
+        ["one_sided_upper", TWO_SIDED],
+    )
+    mismatches = []
+    for (F, G), (m, n), alpha, side in cases:
+        res = wmw_power(PowerQuery(F, G, Design(m, n), alpha, side))
+        assert not res.degenerate_variance
+        want = _oracle_normal_power(res.mu_n, res.sigma2_n, alpha, side).hex()
+        got = (res.approx_power.hex(), wmw_power_at(F, G, alpha, side)(m, n).hex())
+        if got != (want, want):
+            mismatches.append((F, G, m, n, alpha, side, got, want))
+    assert mismatches == []
+
+
+def test_critical_values_match_scipy_stats_ppf_bitwise():
+    rng = np.random.default_rng(2022)
+    alphas = np.concatenate([rng.uniform(0.0, 1.0, 5_000), 10.0 ** rng.uniform(-17, 0, 5_000)])
+    mismatches = []
+    for alpha in alphas[(alphas > 0.0) & (alphas < 1.0)].tolist():
+        one = _critical_values(alpha, "one_sided_upper")
+        two = _critical_values(alpha, TWO_SIDED)
+        want = (float(stats.norm.ppf(1.0 - alpha)), float(stats.norm.ppf(alpha / 2.0)),
+                float(stats.norm.ppf(1.0 - alpha / 2.0)))
+        if (one.hex(), *(c.hex() for c in two)) != tuple(w.hex() for w in want):
+            mismatches.append(alpha)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("F,G,one_sided,two_sided", [
+    # U sits at mn or at 0: power 1 wherever the two-sided test can reject,
+    # 0 one-sided in the lower direction
+    (exponential(1.0, shift=100.0), exponential(1.0), 1.0, 1.0),
+    (exponential(1.0), exponential(1.0, shift=100.0), 0.0, 1.0),
+])
+def test_degenerate_variance_power_and_flags(F, G, one_sided, two_sided):
+    for side, want in (("one_sided_upper", one_sided), (TWO_SIDED, two_sided)):
+        power_at = wmw_power_at(F, G, 0.05, side)
+        for m, n in ((1, 1), (10, 10), (25, 40)):
+            res = wmw_power(PowerQuery(F, G, Design(m, n), side=side))
+            assert res.degenerate_variance and res.low_confidence
+            assert res.sigma2_n == 0.0
+            assert res.approx_power == power_at(m, n) == want
+
+
+@pytest.mark.parametrize("alpha,side", [(1.5, "one_sided_upper"), (0.0, "one_sided_upper"),
+                                        (math.nan, TWO_SIDED), (0.05, "both")])
+def test_power_curve_rejects_bad_alpha_or_side_with_no_design(alpha, side):
+    # with an empty grid no design is evaluated; it used to return []
+    F, G = normal(0.75, 1), normal(0, 1)
+    with pytest.raises(ValueError, match="alpha must be|side must be"):
+        power_curve(F, G, 50, alpha=alpha, side=side, grid=[])
+    with pytest.raises(ValueError, match="alpha must be|side must be"):
+        wmw_power_at(F, G, alpha, side)
 
 
 def test_small_groups_flagged_low_confidence():
@@ -242,6 +313,20 @@ def test_welch_deficiency_with_nan_sd_is_value_error():
     # it used to search every total up to 20 N and raise AllocationSearchError
     with pytest.raises(ValueError, match="must be finite"):
         welch_deficiency(0.5, math.nan, 0, 1, 50, 0.5)
+
+
+@pytest.mark.parametrize("sd1,sd2", [(1e200, 1.0), (1e-200, 1e-200), (1e150, 1.0)])
+def test_welch_power_rejects_sds_whose_variance_overflows_or_underflows(sd1, sd2):
+    # 1e200 gave NaN power (se2 = inf), 1e-200 a ZeroDivisionError (se2 = 0),
+    # 1e150 NaN (se2 finite, its square inf)
+    with pytest.raises(ValueError, match="both must be finite and > 0"):
+        welch_power(0.5, sd1, 0, sd2, Design(25, 25))
+
+
+def test_welch_deficiency_with_overflowing_sd_is_value_error():
+    # it used to search every total up to 20 N and raise AllocationSearchError
+    with pytest.raises(ValueError, match="both must be finite and > 0"):
+        welch_deficiency(0.5, 1e200, 0, 1, 50, 0.5)
 
 
 def test_welch_deficiency_zero_at_equal_sds():
