@@ -196,7 +196,9 @@ def _bind(shift, loc, scale, lower, upper, closed, density, distribution, invers
     ``upper``, NaN stays NaN.  A float z (numpy float64 included) takes Python
     branches, the quadrature's hot path, an array z :func:`_place`; both round
     alike, bit for bit.  Quantiles and draws are scipy's ``* scale + loc``,
-    then ``+ shift``: folding loc + shift would round differently.
+    then ``+ shift``: folding loc + shift would round differently.  Draws
+    apply them in place on the fresh array ``draw`` returns, the same IEEE
+    operations in the same order without a second copy.
     """
 
     def pdf(x):
@@ -221,7 +223,16 @@ def _bind(shift, loc, scale, lower, upper, closed, density, distribution, invers
             return inverse(q) * scale + loc + shift if 0 < q < 1 else _NAN
         return _place(q, (0 < q) & (q < 1), np.nan, lambda q: inverse(q) * scale + loc + shift)
 
-    return Kernel(pdf, cdf, quantile, lambda rng, size: draw(rng, size) * scale + loc + shift,
+    def sample(rng, size):
+        x = draw(rng, size)
+        if np.ndim(x) == 0:  # size () or None: a scalar, as scipy returns it
+            return x * scale + loc + shift
+        x *= scale
+        x += loc
+        x += shift
+        return x
+
+    return Kernel(pdf, cdf, quantile, sample,
                   (np.float64(lower * scale + loc) + shift,
                    np.float64(upper * scale + loc) + shift))
 
@@ -271,12 +282,17 @@ def _kernel(spec: DistributionSpec) -> Kernel:
             log_z = np.log(z)
             return np.exp(-(log_z * log_z) / two_s2 - np.log(s * z * _SQRT_2PI))
 
+        def draw(rng, size):  # np.exp(s * z), in the fresh draws' memory
+            z = rng.standard_normal(size)
+            z *= s
+            return np.exp(z, out=z) if isinstance(z, np.ndarray) else np.exp(z)
+
         return _bind(
             shift, 0.0, np.exp(p["logMean"]), 0.0, np.inf, False,
             density,
             lambda z: special.ndtr(np.log(z) / s),
             lambda q: np.exp(s * special.ndtri(q)),
-            lambda rng, size: np.exp(s * rng.standard_normal(size)),
+            draw,
         )
     if spec.family == "chisquare":
         df = p["df"]

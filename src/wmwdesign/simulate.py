@@ -2,7 +2,11 @@
 
 Trials are partitioned into fixed-size blocks that run in order in one loop.
 Each block draws from an independent substream spawned from (seed, block
-index), so a plan's result is fixed by its seed.
+index), so a plan's result is fixed by its seed.  A block draws X whole, then
+Y in row chunks of MERGE_BUDGET values, and reduces each chunk (U, or the row
+means and variances) into arrays allocated once per call.  The generator
+fills arrays in C order, so the chunks take exactly the draws of one call,
+and a block's memory is its 2048·m draws of X plus a fixed workspace.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from .power import ONE_SIDED_UPPER, _check_alpha, _check_side
 
 TESTS = ("wmw_exact", "wmw_normal", "t_hom", "t_het")
 BLOCK_TRIALS = 2048
-# values merged per row chunk in _u_matrix; its scratch memory is about 17
-# bytes per value (1.1 MB), whatever the block's shape
+# values of X and Y per row chunk (at least one row): each chunk's Y draws
+# and U merge take about 21 bytes per value (1.4 MB), whatever the block's shape
 MERGE_BUDGET = 1 << 16
 
 
@@ -38,10 +42,15 @@ class SimulationPlan:
     def __post_init__(self):
         _check_alpha(self.alpha)
         _check_side(self.side)
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -58,11 +67,14 @@ def compute_u(xs, ys) -> int:
 
     Equal values count as exceedances (x >= y contributes 1), with no
     midrank correction; ties have measure zero for continuous generators.
+    NaN is unordered, so a sample holding one is rejected; ±inf is counted.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be nonempty")
+    if np.isnan(xs).any() or np.isnan(ys).any():
+        raise ValueError("samples must not contain NaN")
     return int(np.searchsorted(np.sort(ys), xs, side="right").sum())
 
 
@@ -73,27 +85,15 @@ def _u_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     before x on a tie, so the x at merged position p has p - (x's before it)
     y values at or below it; summed over the x's, U = sum(p) - m(m-1)/2.
     Sorting each group first hands the stable sort two presorted runs, which
-    it merges far faster than unsorted rows.
-
-    Rows are merged in chunks of MERGE_BUDGET // (m + n) rows, at least one,
-    so the scratch memory is a fixed workspace of about MERGE_BUDGET merged
-    values (one row when m + n is larger) plus the b results, and only the
-    caller's draws grow with b(m + n).
+    it merges far faster than unsorted rows.  All b rows merge at once, so
+    the scratch memory is about 17 bytes per value of X and Y; simulate_power
+    passes it row chunks (see MERGE_BUDGET).
     """
-    b, m = X.shape
-    n = Y.shape[1]
-    rows = max(1, MERGE_BUDGET // (m + n))
-    positions = np.arange(m + n)
-    U = np.empty(b, dtype=np.int64)
-    merged = np.empty((min(rows, b), m + n), dtype=np.result_type(X, Y))
-    for lo in range(0, b, rows):
-        hi = min(lo + rows, b)
-        chunk = merged[: hi - lo]
-        chunk[:, :n] = Y[lo:hi]
-        chunk[:, n:] = X[lo:hi]
-        chunk[:, :n].sort(axis=1)
-        chunk[:, n:].sort(axis=1)
-        np.matmul(np.argsort(chunk, axis=1, kind="stable") >= n, positions, out=U[lo:hi])
+    m, n = X.shape[1], Y.shape[1]
+    merged = np.concatenate((Y, X), axis=1)
+    merged[:, :n].sort(axis=1)
+    merged[:, n:].sort(axis=1)
+    U = (np.argsort(merged, axis=1, kind="stable") >= n) @ np.arange(m + n)
     U -= m * (m - 1) // 2
     return U
 
@@ -135,19 +135,38 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
     elif test == "t_hom":
         crit = special.stdtrit(m + n - 2, level)
 
+    # per-trial statistics of the row chunks, written into one workspace
+    rows = max(1, MERGE_BUDGET // (m + n))
+    width = min(BLOCK_TRIALS, plan.trials)
+    if test.startswith("wmw"):
+        U = np.empty(width, dtype=np.int64)
+    else:
+        row_stats = np.empty((4, width))  # X's and Y's row means and variances
+
     rejections = 0
     for block, done in enumerate(range(0, plan.trials, BLOCK_TRIALS)):
         b = min(BLOCK_TRIALS, plan.trials - done)
         rng = _block_rng(plan.seed, block)
+        # X whole, then Y row chunk by row chunk: the generator fills in C
+        # order, so the chunks take the same draws as one (b, n) call
         X = plan.F.sample(rng, (b, m))
-        Y = plan.G.sample(rng, (b, n))
+        for lo in range(0, b, rows):
+            hi = min(lo + rows, b)
+            Y = plan.G.sample(rng, (hi - lo, n))
+            if test.startswith("wmw"):
+                U[lo:hi] = _u_matrix(X[lo:hi], Y)
+            else:
+                xbar, ybar, vx, vy = row_stats[:, lo:hi]
+                X[lo:hi].mean(axis=1, out=xbar)
+                Y.mean(axis=1, out=ybar)
+                X[lo:hi].var(axis=1, ddof=1, out=vx)
+                Y.var(axis=1, ddof=1, out=vy)
         if test == "wmw_exact":
-            stat = _u_matrix(X, Y) - m * n / 2
+            stat = U[:b] - m * n / 2
         elif test == "wmw_normal":
-            stat = (_u_matrix(X, Y) - e0) / sd0
+            stat = (U[:b] - e0) / sd0
         else:
-            xbar, ybar = X.mean(axis=1), Y.mean(axis=1)
-            vx, vy = X.var(axis=1, ddof=1), Y.var(axis=1, ddof=1)
+            xbar, ybar, vx, vy = row_stats[:, :b]
             if test == "t_hom":
                 sp2 = ((m - 1) * vx + (n - 1) * vy) / (m + n - 2)
                 stat = (xbar - ybar) / np.sqrt(sp2 * (1.0 / m + 1.0 / n))

@@ -283,6 +283,26 @@ def test_sample_bitwise_equal_to_scipy(spec):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_kernel_id)
+def test_sample_row_chunks_bitwise_equal_to_one_call(spec):
+    # simulate_power draws a block's Y in row chunks of one stream: the
+    # generator fills arrays in C order, so ragged chunks take one call's draws
+    chunks, n = (5, 1, 12, 3, 1, 9), 7
+    whole = spec.sample(np.random.default_rng(11), (sum(chunks), n))
+    rng = np.random.default_rng(11)
+    rows = np.concatenate([spec.sample(rng, (r, n)) for r in chunks])
+    assert rows.tobytes() == whole.tobytes()
+
+
+def test_sample_of_one_number_is_a_scalar():
+    # size () or None: the scalar scipy returns, not a 0-d array
+    for spec in (normal(0.75, 2.0, shift=0.3), log_normal(0.4, 0.25, shift=1.7)):
+        for size in ((), None):
+            got = spec.sample(np.random.default_rng(3), size)
+            want = frozen(spec).rvs(size=size, random_state=np.random.default_rng(3)) + spec.shift
+            assert not isinstance(got, np.ndarray) and got == want
+
+
 def test_chi_square_density_at_zero_by_df():
     # the lower edge is inside the pdf's support: infinite below df = 2,
     # one half at df = 2, zero above

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from wmwdesign import (
     SimulationPlan,
     TWO_SIDED,
     build_table,
+    chi_square,
     compute_u,
     critical_value,
     exponential,
+    log_normal,
     normal,
     simulate_power,
 )
@@ -48,6 +51,25 @@ def test_compute_u_rejects_empty():
         compute_u([], [1.0])
 
 
+@pytest.mark.parametrize("xs,ys", [
+    ([1.0, np.nan], [0.0, 2.0]),
+    ([np.nan], [np.nan]),
+    ([1.0], [np.nan]),
+    ([np.nan, 3.0], [1.0]),
+])
+def test_compute_u_rejects_nan(xs, ys):
+    # NaN is unordered: a count of pairs with x >= y would be meaningless
+    with pytest.raises(ValueError, match="NaN"):
+        compute_u(xs, ys)
+
+
+def test_compute_u_accepts_infinities():
+    inf = np.inf
+    assert compute_u([inf], [1.0, -inf, inf]) == 3
+    assert compute_u([-inf], [-inf, 0.0]) == 1
+    assert compute_u([0.0, -inf], [inf]) == 0
+
+
 U_SHAPES = [(1, 1), (1, 7), (7, 1), (3, 5), (25, 25), (10, 60), (70, 70), (150, 150)]
 
 
@@ -69,17 +91,6 @@ def test_u_matrix_matches_broadcast_count(m, n, integer_valued):
     np.testing.assert_array_equal(U, broadcast)
 
 
-@pytest.mark.parametrize("m,n", U_SHAPES)
-@pytest.mark.parametrize("integer_valued", [False, True])
-@pytest.mark.parametrize("rows", [5, 1])
-def test_u_matrix_row_chunks_match_broadcast_count(monkeypatch, m, n, integer_valued, rows):
-    # 64 rows in twelve chunks of five and a ragged one of four, or, with the
-    # budget below m + n, one row at a time
-    monkeypatch.setattr(simulate_mod, "MERGE_BUDGET", 5 * (m + n) + 1 if rows == 5 else 1)
-    X, Y, broadcast = _u_block(m, n, integer_valued)
-    np.testing.assert_array_equal(simulate_mod._u_matrix(X, Y), broadcast)
-
-
 def _wmw_normal_block():
     """One full block at the largest wmw_normal design the benchmark draws."""
     rng = np.random.default_rng(391)
@@ -92,19 +103,6 @@ def test_u_matrix_full_block_matches_compute_u_row_by_row():
     U = simulate_mod._u_matrix(X, Y)
     assert U.dtype == np.int64
     assert U.tolist() == [compute_u(x, y) for x, y in zip(X, Y)]
-
-
-def test_u_matrix_scratch_memory_is_a_fixed_workspace():
-    # about 1.1 MB: 17 bytes per merged value of MERGE_BUDGET plus 16 KB of
-    # results, where merging the whole block at once takes 26 MB
-    X, Y = _wmw_normal_block()
-    tracemalloc.start()
-    try:
-        simulate_mod._u_matrix(X, Y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
 
 
 def test_u_matrix_all_tied():
@@ -209,9 +207,91 @@ def test_rejection_rule_matches_per_case_oracle(test, side, case):
     assert res.rejection_rate == _oracle_rejections(plan, test) / trials
 
 
+class _Recorded:
+    """``spec``'s draws, with the size of every call recorded; rounded to
+    halves if ``ties``, which forces many x == y ties (they count as x >= y)."""
+
+    def __init__(self, spec, ties):
+        self.spec, self.ties, self.sizes = spec, ties, []
+
+    def sample(self, rng, size):
+        self.sizes.append(size)
+        draws = self.spec.sample(rng, size)
+        return np.round(2 * draws) if self.ties else draws
+
+
+@pytest.mark.parametrize("test,m,n", [
+    (test, m, n)
+    for test in simulate_mod.TESTS
+    for m, n in U_SHAPES
+    if not (test.startswith("t_") and min(m, n) < 2)  # t tests need two
+])
+@pytest.mark.parametrize("integer_valued", [False, True])
+@pytest.mark.parametrize("rows", [5, 1])
+def test_simulate_power_row_chunks_match_oracle(monkeypatch, test, m, n, integer_valued, rows):
+    # 64 trials, Y drawn in twelve row chunks of five and a ragged one of
+    # four or, with the budget below m + n, one row at a time; the oracle
+    # draws Y whole and counts U by broadcasting
+    monkeypatch.setattr(simulate_mod, "MERGE_BUDGET", 5 * (m + n) + 1 if rows == 5 else 1)
+    u_chunks = []
+    u_matrix = simulate_mod._u_matrix
+
+    def recorded_u_matrix(X, Y):
+        u_chunks.append(u_matrix(X, Y))
+        return u_chunks[-1]
+
+    monkeypatch.setattr(simulate_mod, "_u_matrix", recorded_u_matrix)
+    F = _Recorded(normal(0.3, 1.0), integer_valued)
+    G = _Recorded(normal(0.0, 1.0), integer_valued)
+    plan = SimulationPlan(F, G, Design(m, n), trials=64, seed=m * 1000 + n)
+    res = simulate_power(plan, test=test)
+
+    chunks = [5] * 12 + [4] if rows == 5 else [1] * 64
+    assert F.sizes == [(64, m)]
+    assert G.sizes == [(r, n) for r in chunks]
+    assert res.rejection_rate == _oracle_rejections(plan, test) / 64
+    if test.startswith("wmw"):
+        assert [len(u) for u in u_chunks] == chunks
+        rng = simulate_mod._block_rng(plan.seed, 0)
+        X, Y = F.sample(rng, (64, m)), G.sample(rng, (64, n))
+        broadcast = (X[:, :, None] >= Y[:, None, :]).sum(axis=(1, 2))
+        np.testing.assert_array_equal(np.concatenate(u_chunks), broadcast)
+
+
+@pytest.mark.parametrize("test", simulate_mod.TESTS)
+@pytest.mark.parametrize("F,G", [
+    pytest.param(normal(0.1, 1.0), normal(0.0, 1.0), id="normal"),
+    pytest.param(log_normal(0.1, 1.0, shift=0.2), log_normal(0.0, 1.0), id="lognormal"),
+    pytest.param(chi_square(3.0, shift=0.2), chi_square(3.0), id="chisquare"),
+])
+def test_simulate_power_block_memory_is_x_plus_a_fixed_workspace(monkeypatch, test, F, G):
+    # One full block at the largest wmw_normal design the benchmark draws.
+    # X's 2048 x 391 draws (6.1 MiB) come whole; Y comes in row chunks of
+    # MERGE_BUDGET values, merged or reduced into a workspace of about
+    # 1.3 MiB. Drawing Y whole and scaling each draw into a copy took
+    # 13.4 MiB for the U tests (18.6 for the lognormal pair) and 18.7 MiB
+    # for the t tests, whose row variances copied X.
+    m, n = 391, 399
+    if test == "wmw_exact":
+        # the real table takes seconds to build and stays in build_table's
+        # cache, outside any block; a stub bound keeps it out of the count
+        monkeypatch.setattr(simulate_mod, "build_table", lambda m, n, max_entries: None)
+        monkeypatch.setattr(simulate_mod, "critical_value",
+                            lambda table, alpha, side: SimpleNamespace(value=m * n // 2 + 1))
+    plan = SimulationPlan(F, G, Design(m, n), trials=simulate_mod.BLOCK_TRIALS, seed=391)
+    tracemalloc.start()
+    try:
+        simulate_power(plan, test=test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= simulate_mod.BLOCK_TRIALS * m * 8 + 4 * 2**20
+
+
 @pytest.mark.parametrize("field,value", [
-    *(pytest.param("seed", v, id=str(v)) for v in (-1, 1.5, "7", None)),
-    *(pytest.param("trials", v, id=f"trials={v!r}") for v in (0, 100.5, "10", None)),
+    *(pytest.param("seed", v, id=str(v)) for v in (-1, 1.5, "7", None, True, False)),
+    *(pytest.param("trials", v, id=f"trials={v!r}")
+      for v in (0, 100.5, "10", None, True, False)),
 ])
 def test_plan_rejects_bad_seed(field, value):
     kwargs = {"trials": 10, "seed": 0, field: value}
