@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
 
 from .distributions import DistributionSpec, scalar_functions
 
@@ -69,19 +68,19 @@ def _domains(F: DistributionSpec, G: DistributionSpec):
     heavy-tailed partner's huge truncated range; both specs' edges and guide
     quantiles serve as breakpoints wherever they fall inside a domain.
 
-    One exception: where a weight's density is infinite at the lower end of
-    its domain (a shifted chi-square with df < 2, whose 1e-12 quantile rounds
-    to the support edge), its own 1e-9, 1e-6 and 1e-3 quantiles crowd that
-    end (all within 5e-8 of it for df 0.8), and subdividing around them lands
-    on nodes that round to it, so they are left out of that domain's
-    breakpoints.
+    One exception: where a weight's density is infinite at its support's
+    lower edge (a chi-square with df < 2, shifted or not), its own 1e-9, 1e-6
+    and 1e-3 quantiles crowd that edge (all within 5e-8 of it for df 0.8),
+    and subdividing around them lands on nodes at or next to the singularity:
+    QAGP then misses the bound (shifted) or reports 1e-11 on a result off by
+    up to 1e-3 (unshifted), so they are left out of that domain's breakpoints.
     """
     quantiles = [[spec.quantile(level) for level in _GUIDE_LEVELS] for spec in (F, G)]
     guides = [x for spec, qs in zip((F, G), quantiles) for x in (*spec.support(), *qs)]
     domains = []
     for spec, qs in zip((F, G), quantiles):
         lo, hi = _domain(spec)
-        near_edge = qs[:3] if np.isinf(spec.pdf(lo)) else ()
+        near_edge = qs[:3] if np.isinf(spec.pdf(spec.support()[0])) else ()
         domains.append((lo, hi, sorted({x for x in guides
                                         if lo < x < hi and x not in near_edge}) or None))
     return domains
@@ -139,36 +138,24 @@ def check_identities(F: DistributionSpec, G: DistributionSpec) -> IdentityReport
     (it reduces to the familiar 1 - 2*0.5 + int F^2 g form under F = G).
 
     Residual (b): the nested-integral representation
-    int (1-F)^2 g  ==  int [ int_{-inf}^{x} G f dy + G(x)(1-F(x)) ] f(x) dx.
-    """
-    from scipy import integrate  # imported on first use: importing wmwdesign stays cheap
+    int (1-F)^2 g  ==  int [ int_{-inf}^{x} G f dy + G(x)(1-F(x)) ] f(x) dx,
+    whose inner layer integrates (Fubini) to int G (1-F) f, so the right-hand
+    side is 2 int G (1-F) f.
 
+    Both right-hand integrals use the summary's domains, breakpoints and
+    kernels, and are held to RESULT_TOL like the summary itself.
+    """
     s = second_moment_integrals(F, G)
 
-    f_cdf, g_pdf = scalar_functions(F).cdf, scalar_functions(G).pdf
-    _, over_g = _domains(F, G)
-    int_f2_g, _ = _quad(lambda x: f_cdf(x) ** 2 * g_pdf(x), *over_g)
+    f_pdf, f_cdf = scalar_functions(F)[:2]
+    g_pdf, g_cdf = scalar_functions(G)[:2]
+    over_f, over_g = _domains(F, G)
+    int_f2_g, e1 = _quad(lambda x: f_cdf(x) ** 2 * g_pdf(x), *over_g)
+    int_g_1mf_f, e2 = _quad(lambda x: g_cdf(x) * (1.0 - f_cdf(x)) * f_pdf(x), *over_f)
+    bound = max(e1, e2)
+    if bound > RESULT_TOL:
+        raise QuadratureAccuracyError("identity integrals did not converge", bound)
     res_a = abs(s.int_1mf2_g - (2.0 * s.p_x_ge_y - 1.0 + int_f2_g))
-
-    # substituting u = F(x) maps both layers onto (0, 1) with a bounded
-    # integrand; the inner cumulative integral is a termwise-integrated
-    # Chebyshev interpolant of u -> G(F^{-1}(u)), which keeps the nested
-    # evaluation cheap even for heavy-tailed pairs
-    def phi_t(t):
-        u = np.clip((np.asarray(t) + 1.0) / 2.0, 1e-15, 1.0 - 1e-15)
-        return G.cdf(F.quantile(u))
-
-    interp = Chebyshev.interpolate(phi_t, 2048)
-    anti = interp.integ()
-    anti0 = anti(-1.0)
-
-    def nested(v):
-        inner = 0.5 * (anti(2.0 * v - 1.0) - anti0)
-        return inner + phi_t(2.0 * v - 1.0) * (1.0 - v)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        rhs, _ = integrate.quad(nested, 0.0, 1.0, epsabs=1e-10, limit=200)
-    res_b = abs(s.int_1mf2_g - rhs)
+    res_b = abs(s.int_1mf2_g - 2.0 * int_g_1mf_f)
 
     return IdentityReport(complement_residual=res_a, nested_residual=res_b, summary=s)

@@ -5,8 +5,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import DistributionSpec
 from .exceedance import RESULT_TOL, second_moment_integrals
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    # exact type first: Design checks both sizes and is built twice per scanned design
+    return type(value) is int or (isinstance(value, (int, np.integer))
+                                  and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -17,6 +26,8 @@ class Design:
     n: int
 
     def __post_init__(self):
+        if not (_is_int(self.m) and _is_int(self.n)):
+            raise ValueError(f"group sizes must be ints, got m={self.m!r}, n={self.n!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"both group sizes must be >= 1, got m={self.m}, n={self.n}")
 

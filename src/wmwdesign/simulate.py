@@ -19,7 +19,7 @@ from scipy import special
 
 from .distributions import DistributionSpec
 from .exact_null import MAX_TABLE_ENTRIES, TableSizeError, build_table, critical_value
-from .moments import Design, null_moments
+from .moments import Design, _is_int, null_moments
 from .power import ONE_SIDED_UPPER, _check_alpha, _check_side
 
 TESTS = ("wmw_exact", "wmw_normal", "t_hom", "t_het")
@@ -46,11 +46,6 @@ class SimulationPlan:
             raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
-
-
-def _is_int(value) -> bool:
-    """An int or numpy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,15 @@ def test_check_identities_subcommand(capsys):
     data = json.loads(out)
     assert data["complement_residual"] < 1e-7
     assert data["nested_residual"] < 1e-7
+    # the summary converges, the identity integrals over the singular edge do not
+    code, out, err = run(
+        capsys, "check-identities",
+        "--f-spec", '{"family":"normal","params":{"mean":0,"sd":0.05}}',
+        "--g-spec", '{"family":"chisquare","params":{"df":0.5},"shift":1.0}',
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: identity integrals did not converge")
 
 
 def test_reproduce_deficiency_csv(tmp_path, capsys):

@@ -31,8 +31,18 @@ def test_design_validation_and_omega():
     d = Design(3, 7)
     assert d.total_n == 10
     assert d.omega == 0.3
+    assert Design(np.int64(3), 7) == d
     with pytest.raises(ValueError):
         Design(0, 5)
+
+
+@pytest.mark.parametrize("size", [2.5, True, math.nan, np.float64(3.0), "3"],
+                         ids=["float", "bool", "nan", "np.float64", "str"])
+def test_design_rejects_group_sizes_that_are_not_ints(size):
+    with pytest.raises(ValueError, match="group sizes must be ints"):
+        Design(size, 5)
+    with pytest.raises(ValueError, match="group sizes must be ints"):
+        Design(5, size)
 
 
 def test_design_from_total_rounds_to_realizable():
