@@ -148,7 +148,6 @@ def _cmd_power(args):
     d = _resolve_design(args)
     res = wmw_power(PowerQuery(F, G, d, args.alpha, args.side))
     _emit_json({"design": _design_dict(d), **asdict(res)})
-    return EXIT_OK
 
 
 def _cmd_optimal_design(args):
@@ -163,7 +162,6 @@ def _cmd_optimal_design(args):
             [(p.omega, p.m, p.n, p.power) for p in report.power_curve],
         )
     _emit_json(_design_report_dict(report))
-    return EXIT_OK
 
 
 def _cmd_power_curve(args):
@@ -184,7 +182,6 @@ def _cmd_power_curve(args):
         for row, p in zip(rows, points):
             row += _mc_columns(F, G, p, args.alpha, args.side, args.mc_trials, args.seed)
     _emit_rows(header, rows, args.out)
-    return EXIT_OK
 
 
 def _cmd_deficiency(args):
@@ -205,7 +202,6 @@ def _cmd_deficiency(args):
                              "the symmetric closed form takes only --omega")
         d = deficiency_symmetric(args.omega)
         _emit_json({"omega": args.omega, "deficiency": d, "method": "symmetric_closed_form"})
-    return EXIT_OK
 
 
 def _cmd_exact_null(args):
@@ -225,7 +221,6 @@ def _cmd_exact_null(args):
         "achieved_size": cv.achieved_size,
         "degenerate": cv.degenerate,
     })
-    return EXIT_OK
 
 
 def _cmd_simulate(args):
@@ -234,7 +229,6 @@ def _cmd_simulate(args):
     plan = SimulationPlan(F, G, d, args.alpha, args.side, trials=args.trials, seed=args.seed)
     res = simulate_power(plan, test=args.test)
     _emit_json({"design": _design_dict(d), **asdict(res)})
-    return EXIT_OK
 
 
 def _cmd_check_identities(args):
@@ -242,14 +236,13 @@ def _cmd_check_identities(args):
     out = asdict(check_identities(F, G))
     out.update(out.pop("summary"))
     _emit_json(out)
-    return EXIT_OK
 
 
 def _cmd_reproduce(args):
     if args.figure == "deficiency":
         rows = [(i / 100.0, deficiency_symmetric(i / 100.0)) for i in range(1, 100)]
         _emit_rows(["omega", "deficiency"], rows, args.out)
-        return EXIT_OK
+        return
 
     if args.figure == "epping":
         sc = scenarios_mod.SCENARIOS["epping"][0]
@@ -260,7 +253,7 @@ def _cmd_reproduce(args):
         out["omega_star_second_group"] = 1.0 - report.optimal.omega
         out["scenario_version"] = scenarios_mod.SCENARIO_VERSION
         _emit_json(out, args.out)
-        return EXIT_OK
+        return
 
     rows = []
     grid = [i / 10.0 for i in range(1, 10)]
@@ -273,7 +266,6 @@ def _cmd_reproduce(args):
                          *_mc_columns(sc.F, sc.G, p, sc.alpha, sc.side, trials, seed)])
     header = ["scenario", "omega", "m", "n", "power_approx", "power_mc", "mc_se"]
     _emit_rows(header, rows, args.out)
-    return EXIT_OK
 
 
 SCENARIOS_CHOICES = sorted(scenarios_mod.SCENARIOS) + ["deficiency"]
@@ -353,7 +345,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (UsageError, ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -363,6 +355,7 @@ def main(argv=None) -> int:
     except TableSizeError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

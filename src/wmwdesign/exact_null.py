@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -108,22 +109,16 @@ def critical_value(table: ExactNullTable, alpha: float, side: str = "upper") -> 
     if side not in ("upper", "two_sided"):
         raise ValueError(f"side must be 'upper' or 'two_sided', got {side!r}")
 
+    # P(U >= u) > 1/2 >= alpha (even limited) for every u <= mn/2, so no region
+    # reaches the centre: one rule serves both sides, and two tails never overlap
     limit = Fraction(alpha).limit_denominator(10**12)
     mn = table.m * table.n
-    bound = limit.numerator * table.total  # size k/total <= alpha iff k*den <= bound
     tails = 2 if side == "two_sided" else 1
-    tail = 0  # running count of P(U >= u) * total
-    best = None  # (u, k): bound and its rejected arrangement count
-    for u in range(mn, -1, -1):
-        if tails == 2 and u <= mn - u:
-            break  # tails would overlap; stop before double counting
-        tail += table.counts[u]
-        if tails * tail * limit.denominator > bound:
-            break
-        best = (u, tails * tail)
-
-    size = 0.0 if best is None else float(Fraction(best[1], table.total))
+    bound = limit.numerator * table.total // (tails * limit.denominator)
+    tail = list(accumulate(reversed(table.counts[mn // 2 + 1:])))  # tail[k]: U >= mn - k
+    k = bisect_right(tail, bound)  # values of u in the largest region within alpha
+    size = tails * tail[k - 1] / table.total if k else 0.0
     if size == 0.0:
         # even the most extreme value cannot be rejected at this alpha
         return CriticalValue(value=mn + 1, achieved_size=0.0, degenerate=True)
-    return CriticalValue(value=best[0], achieved_size=size, degenerate=False)
+    return CriticalValue(value=mn - k + 1, achieved_size=size, degenerate=False)

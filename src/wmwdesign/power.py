@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special
 
 from .distributions import DistributionSpec
@@ -180,6 +181,15 @@ def _check_sds(sd1: float, sd2: float):
         raise ValueError(f"standard deviations must be finite and > 0, got {sd1}, {sd2}")
 
 
+def _welch_df(v1, v2, m: int, n: int):
+    """Welch (1947) df from the groups' variances of the mean, floats or arrays."""
+    # scaling both by the larger's power of two is exact: df is scale-free, no square overflows
+    exponent = np.frexp(np.maximum(v1, v2))[1]
+    v1, v2 = np.ldexp(v1, -exponent), np.ldexp(v2, -exponent)
+    se2 = v1 + v2
+    return se2 * se2 / (v1 * v1 / (m - 1) + v2 * v2 / (n - 1))
+
+
 def welch_optimal_omega(sd1: float, sd2: float) -> float:
     """Allocation 1 / (1 + sd2/sd1), favoring the higher-variance group."""
     _check_sds(sd1, sd2)
@@ -199,14 +209,10 @@ def welch_power(mu1: float, sd1: float, mu2: float, sd2: float, design: Design,
     m, n = design.m, design.n
     v1, v2 = sd1 * sd1 / m, sd2 * sd2 / n
     se2 = v1 + v2
-    df = 1.0
-    if min(m, n) > 1:
-        spread = v1 * v1 / (m - 1) + v2 * v2 / (n - 1)
-        df = se2 * se2 / spread if spread > 0.0 else math.nan
-    # finite sds whose squares overflow or underflow leave no usable se2 or df
-    if not (0.0 < se2 < math.inf and 0.0 < df < math.inf):
+    if not 0.0 < se2 < math.inf:  # the sds' squares overflowed or underflowed
         raise ValueError(f"standard deviations {sd1}, {sd2} at m={m}, n={n} give "
-                         f"se2={se2} and df={df}; both must be finite and > 0")
+                         f"se2={se2}; sds and se2 both must be finite and > 0")
+    df = _welch_df(v1, v2, m, n) if min(m, n) > 1 else 1.0
     ncp = (mu1 - mu2) / math.sqrt(se2)
     two_sided = side == TWO_SIDED
     tcrit = special.stdtrit(df, 1.0 - alpha / 2.0 if two_sided else 1.0 - alpha)

@@ -20,7 +20,7 @@ from scipy import special
 from .distributions import DistributionSpec
 from .exact_null import MAX_TABLE_ENTRIES, TableSizeError, build_table, critical_value
 from .moments import Design, _is_int, null_moments
-from .power import ONE_SIDED_UPPER, _check_alpha, _check_side
+from .power import ONE_SIDED_UPPER, _check_alpha, _check_side, _welch_df
 
 TESTS = ("wmw_exact", "wmw_normal", "t_hom", "t_het")
 BLOCK_TRIALS = 2048
@@ -152,24 +152,29 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
                 U[lo:hi] = _u_matrix(X[lo:hi], Y)
             else:
                 xbar, ybar, vx, vy = row_stats[:, lo:hi]
-                X[lo:hi].mean(axis=1, out=xbar)
-                Y.mean(axis=1, out=ybar)
-                X[lo:hi].var(axis=1, ddof=1, out=vx)
-                Y.var(axis=1, ddof=1, out=vy)
+                with np.errstate(all="ignore"):  # se2 is checked below
+                    X[lo:hi].mean(axis=1, out=xbar)
+                    Y.mean(axis=1, out=ybar)
+                    X[lo:hi].var(axis=1, ddof=1, out=vx)
+                    Y.var(axis=1, ddof=1, out=vy)
         if test == "wmw_exact":
             stat = U[:b] - m * n / 2
         elif test == "wmw_normal":
             stat = (U[:b] - e0) / sd0
         else:
             xbar, ybar, vx, vy = row_stats[:, :b]
-            if test == "t_hom":
-                sp2 = ((m - 1) * vx + (n - 1) * vy) / (m + n - 2)
-                stat = (xbar - ybar) / np.sqrt(sp2 * (1.0 / m + 1.0 / n))
-            else:  # t_het: Welch statistic with per-trial degrees of freedom
-                v1, v2 = vx / m, vy / n
-                se2 = v1 + v2
+            with np.errstate(all="ignore"):
+                if test == "t_hom":
+                    se2 = ((m - 1) * vx + (n - 1) * vy) / (m + n - 2) * (1.0 / m + 1.0 / n)
+                else:  # t_het: Welch statistic with per-trial degrees of freedom
+                    v1, v2 = vx / m, vy / n
+                    se2 = v1 + v2
                 stat = (xbar - ybar) / np.sqrt(se2)
-                crit = special.stdtrit(se2 * se2 / (v1 * v1 / (m - 1) + v2 * v2 / (n - 1)), level)
+            if not (np.isfinite(se2).all() and se2.min() >= np.finfo(float).tiny):
+                raise ValueError(f"{test}: a trial's variance of the mean is not a finite normal "
+                                 "float; standard deviations must be about 1e-153 to 1e152")
+            if test == "t_het":
+                crit = special.stdtrit(_welch_df(v1, v2, m, n), level)
         if two_sided:
             stat = np.abs(stat)
         rejections += int((stat >= crit).sum())

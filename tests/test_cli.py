@@ -320,6 +320,17 @@ def test_simulate_t_test_group_of_one_is_usage_error(capsys):
     assert "at least 2" in err
 
 
+def test_simulate_t_test_out_of_range_scale_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--f-spec", NORMAL_SHIFTED,
+        "--g-spec", '{"family":"normal","params":{"mean":0,"sd":1e160}}',
+        "--m", "20", "--n2", "30", "--trials", "100", "--test", "t_het",
+    )
+    assert code == 1
+    assert out == ""
+    assert "finite normal float" in err
+
+
 def test_simulate_negative_seed_is_usage_error(capsys):
     code, out, err = run(
         capsys, "simulate", "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD,

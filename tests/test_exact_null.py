@@ -68,7 +68,8 @@ def scan_critical_value(table, alpha, side):
 
 SMALL_SIZES = [(m, n) for m in range(1, 21) for n in range(1, 21)]
 LARGE_SIZES = [(40, 60), (70, 70), (5, 70)]
-ALPHAS = (0.01, 0.025, 0.05, 0.1)
+# up to just below 1/2, where one region on each side is as large as it gets
+ALPHAS = (0.01, 0.025, 0.05, 0.1, 0.4999, 0.49999999)
 
 
 @pytest.mark.parametrize("sizes", [SMALL_SIZES] + [[mn] for mn in LARGE_SIZES],
@@ -81,7 +82,9 @@ def test_table_matches_recurrence(sizes):
 @pytest.mark.parametrize("sizes", [SMALL_SIZES] + [[mn] for mn in LARGE_SIZES],
                          ids=["1..20x1..20"] + [f"{m}x{n}" for m, n in LARGE_SIZES])
 def test_critical_value_matches_fraction_scan(sizes):
-    # the small sizes include degenerate tables (1x1, 1x2, 2x2, ...) on both sides
+    # the small sizes include degenerate tables (1x1, 1x2, 2x2, ...) on both
+    # sides, and tables with mn odd (3x5) and even (4x5), whose centre is a
+    # half-integer or an attainable value of U
     for m, n in sizes:
         t = build_table(m, n)
         for side in ("upper", "two_sided"):

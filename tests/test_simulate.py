@@ -19,6 +19,7 @@ from wmwdesign import (
     log_normal,
     normal,
     simulate_power,
+    welch_power,
 )
 
 
@@ -345,3 +346,29 @@ def test_invalid_test_name():
     plan = SimulationPlan(normal(0, 1), normal(0, 1), Design(5, 5), trials=10)
     with pytest.raises(ValueError):
         simulate_power(plan, test="sign_test")
+
+
+@pytest.mark.parametrize("scale", [2.0**300, 2.0**-300], ids=["2^300", "2^-300"])
+def test_welch_and_t_tests_are_scale_free(scale):
+    # multiplying location and scale by a power of two scales every draw,
+    # mean and standard deviation exactly; Welch's df used to overflow or
+    # underflow here (welch_power raised, t_het silently rejected nothing)
+    design = Design(20, 30)
+
+    def answers(s):
+        plan = SimulationPlan(normal(0.5 * s, s), normal(0, 2 * s), design, trials=4096, seed=3)
+        rates = [simulate_power(plan, test).rejection_rate for test in simulate_mod.TESTS]
+        return welch_power(0.5 * s, s, 0.0, 2 * s, design).approx_power.hex(), rates
+
+    assert answers(scale) == answers(1.0)
+
+
+@pytest.mark.parametrize("test", ["t_hom", "t_het"])
+@pytest.mark.parametrize("scale", [1e160, 1e-200])
+def test_t_tests_reject_data_whose_variance_leaves_the_normal_floats(test, scale):
+    # the per-trial variances overflow (1e160) or underflow (1e-200); they
+    # used to give rejection rates of 0.0 or 0.876, with only a RuntimeWarning
+    plan = SimulationPlan(normal(0.5 * scale, scale), normal(0, scale), Design(20, 30),
+                          trials=100, seed=3)
+    with pytest.raises(ValueError, match="finite normal float"):
+        simulate_power(plan, test)
