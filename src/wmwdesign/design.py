@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .distributions import DistributionSpec
-from .moments import Design
-from .power import ONE_SIDED_UPPER, _deficiency_search, _grid, wmw_power_at
+from .moments import Design, _check_total
+from .power import ONE_SIDED_UPPER, ConfigurationError, _deficiency_search, _grid, wmw_power_at
 from .power import wmw_power  # noqa: F401  kept as design.wmw_power for perfbench/spans.py
 
 
@@ -62,6 +62,7 @@ def power_curve(F: DistributionSpec, G: DistributionSpec, total_n: int,
                 alpha: float = 0.05, side: str = ONE_SIDED_UPPER,
                 grid: list[float] | None = None) -> list[CurvePoint]:
     """Power at the realizable design nearest each requested allocation fraction."""
+    _check_total(total_n, ConfigurationError)
     if grid is None:
         grid = [m / total_n for m in range(1, total_n)]
     power_at = wmw_power_at(F, G, alpha, side)

@@ -90,23 +90,23 @@ class DistributionSpec:
     # -- probability functions -------------------------------------------
 
     def pdf(self, x):
-        return _kernel(self).pdf(_float_or_array(x))
+        return kernel(self).pdf(_float_or_array(x))
 
     def cdf(self, x):
-        return _kernel(self).cdf(_float_or_array(x))
+        return kernel(self).cdf(_float_or_array(x))
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
         if not ((p > 0) & (p < 1)).all():
             raise ValueError("quantile requires 0 < p < 1")
-        return _kernel(self).quantile(_float_or_array(p))
+        return kernel(self).quantile(_float_or_array(p))
 
     def sample(self, rng: np.random.Generator, k):
         """Draw ``k`` variates (int or shape tuple) using ``rng``."""
-        return _kernel(self).sample(rng, k)
+        return kernel(self).sample(rng, k)
 
     def support(self) -> tuple[float, float]:
-        return _kernel(self).support
+        return kernel(self).support
 
     # -- JSON wire format ------------------------------------------------
 
@@ -244,18 +244,13 @@ def _place(z, inside, fill, formula):
     return out
 
 
-def scalar_functions(spec: DistributionSpec) -> Kernel:
-    """``spec``'s cached :class:`Kernel`: bound once for many Python floats, its
-    functions skip ``np.asarray``, the spec hash of the cache and array masks."""
-    return _kernel(spec)
-
-
 @lru_cache(maxsize=256)
-def _kernel(spec: DistributionSpec) -> Kernel:
+def kernel(spec: DistributionSpec) -> Kernel:
     """``spec``'s :class:`Kernel`, built once per spec (see :func:`_bind`).
 
-    No frozen scipy.stats object is made: creating one costs time and leaves
-    memory resident.
+    Bound once for many Python floats, its functions skip ``np.asarray``, the
+    spec hash of the cache and array masks.  No frozen scipy.stats object is
+    made: creating one costs time and leaves memory resident.
     """
     p, shift = dict(spec.params), spec.shift
     if spec.family == "normal":

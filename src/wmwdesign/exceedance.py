@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import DistributionSpec, scalar_functions
+from .distributions import DistributionSpec, kernel
 
 # absolute tolerance requested from the quadrature routine; callers are
 # promised 1e-9 on the results
@@ -113,8 +113,8 @@ def second_moment_integrals(F: DistributionSpec, G: DistributionSpec) -> Exceeda
     Raises QuadratureAccuracyError when the bound exceeds RESULT_TOL, so no
     result rests on unconverged integrals.
     """
-    f_pdf, f_cdf = scalar_functions(F)[:2]
-    g_pdf, g_cdf = scalar_functions(G)[:2]
+    f_pdf, f_cdf = kernel(F)[:2]
+    g_pdf, g_cdf = kernel(G)[:2]
     over_f, over_g = _domains(F, G)
     p, e1 = _quad(lambda x: g_cdf(x) * f_pdf(x), *over_f)
     i1, e2 = _quad(lambda x: g_cdf(x) ** 2 * f_pdf(x), *over_f)
@@ -147,8 +147,8 @@ def check_identities(F: DistributionSpec, G: DistributionSpec) -> IdentityReport
     """
     s = second_moment_integrals(F, G)
 
-    f_pdf, f_cdf = scalar_functions(F)[:2]
-    g_pdf, g_cdf = scalar_functions(G)[:2]
+    f_pdf, f_cdf = kernel(F)[:2]
+    g_pdf, g_cdf = kernel(G)[:2]
     over_f, over_g = _domains(F, G)
     int_f2_g, e1 = _quad(lambda x: f_cdf(x) ** 2 * g_pdf(x), *over_g)
     int_g_1mf_f, e2 = _quad(lambda x: g_cdf(x) * (1.0 - f_cdf(x)) * f_pdf(x), *over_f)

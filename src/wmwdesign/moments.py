@@ -18,6 +18,11 @@ def _is_int(value) -> bool:
                                   and not isinstance(value, bool))
 
 
+def _check_total(total_n, error=ValueError):
+    if not (_is_int(total_n) and total_n >= 2):
+        raise error(f"total sample size N must be an int >= 2, got {total_n!r}")
+
+
 @dataclass(frozen=True)
 class Design:
     """Allocation of a total sample size N = m + n between the two groups."""
@@ -42,6 +47,7 @@ class Design:
     @classmethod
     def from_total(cls, total_n: int, omega: float) -> "Design":
         """Nearest realizable design to allocation fraction omega in (0, 1)."""
+        _check_total(total_n)
         if not 0.0 < omega < 1.0:
             raise ValueError(f"omega must be in (0, 1), got {omega}")
         m = int(round(omega * total_n))

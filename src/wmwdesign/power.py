@@ -27,7 +27,7 @@ class AllocationSearchError(RuntimeError):
 
 
 class ConfigurationError(ValueError):
-    """The requested search grid is empty or its epsilon is invalid."""
+    """The requested search grid is empty, or its total or epsilon is invalid."""
 
 
 def _check_side(side: str):

@@ -3,10 +3,11 @@
 Trials are partitioned into fixed-size blocks that run in order in one loop.
 Each block draws from an independent substream spawned from (seed, block
 index), so a plan's result is fixed by its seed.  A block draws X whole, then
-Y in row chunks of MERGE_BUDGET values, and reduces each chunk (U, or the row
-means and variances) into arrays allocated once per call.  The generator
-fills arrays in C order, so the chunks take exactly the draws of one call,
-and a block's memory is its 2048·m draws of X plus a fixed workspace.
+Y in row chunks of MERGE_BUDGET values, and takes each chunk in one pass to
+its statistic, critical value and rejection count.  The generator fills
+arrays in C order, so the chunks take exactly the draws of one call, and a
+block's memory is its 2048·m draws of X plus one chunk's temporaries, about
+21 bytes per value of X and Y.
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
     two_sided = plan.side != ONE_SIDED_UPPER
     level = 1.0 - plan.alpha / 2.0 if two_sided else 1.0 - plan.alpha
     fell_back = False
+    e0, var0 = null_moments(plan.design)
 
     if test == "wmw_exact":
         try:
@@ -122,62 +124,40 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
             # so |U - mn/2| >= c - mn/2 is U >= c or U <= mn - c, and the
             # degenerate bound mn + 1 lies beyond every U.
             cv = critical_value(table, plan.alpha, "two_sided" if two_sided else "upper")
-            crit = cv.value - m * n / 2
+            scale, crit = 1.0, cv.value - e0
     if test == "wmw_normal":
-        e0, var0 = null_moments(plan.design)
-        sd0 = math.sqrt(var0)
-        crit = special.ndtri(level)
+        scale, crit = math.sqrt(var0), special.ndtri(level)
     elif test == "t_hom":
         crit = special.stdtrit(m + n - 2, level)
 
-    # per-trial statistics of the row chunks, written into one workspace
-    rows = max(1, MERGE_BUDGET // (m + n))
-    width = min(BLOCK_TRIALS, plan.trials)
-    if test.startswith("wmw"):
-        U = np.empty(width, dtype=np.int64)
-    else:
-        row_stats = np.empty((4, width))  # X's and Y's row means and variances
+    def statistic(x, y):
+        """Per-trial statistic of row samples x and y, and its critical value."""
+        if test.startswith("wmw"):
+            return (_u_matrix(x, y) - e0) / scale, crit
+        with np.errstate(all="ignore"):  # se2 is checked below
+            vx, vy = x.var(axis=1, ddof=1), y.var(axis=1, ddof=1)
+            if test == "t_hom":
+                se2 = ((m - 1) * vx + (n - 1) * vy) / (m + n - 2) * (1.0 / m + 1.0 / n)
+            else:  # t_het: Welch statistic with per-trial degrees of freedom
+                v1, v2 = vx / m, vy / n
+                se2 = v1 + v2
+            stat = (x.mean(axis=1) - y.mean(axis=1)) / np.sqrt(se2)
+        if not (np.isfinite(se2).all() and se2.min() >= np.finfo(float).tiny):
+            raise ValueError(f"{test}: a trial's variance of the mean is not a finite normal "
+                             "float; standard deviations must be about 1e-153 to 1e152")
+        return stat, crit if test == "t_hom" else special.stdtrit(_welch_df(v1, v2, m, n), level)
 
+    rows = max(1, MERGE_BUDGET // (m + n))
     rejections = 0
     for block, done in enumerate(range(0, plan.trials, BLOCK_TRIALS)):
-        b = min(BLOCK_TRIALS, plan.trials - done)
         rng = _block_rng(plan.seed, block)
         # X whole, then Y row chunk by row chunk: the generator fills in C
-        # order, so the chunks take the same draws as one (b, n) call
-        X = plan.F.sample(rng, (b, m))
-        for lo in range(0, b, rows):
-            hi = min(lo + rows, b)
-            Y = plan.G.sample(rng, (hi - lo, n))
-            if test.startswith("wmw"):
-                U[lo:hi] = _u_matrix(X[lo:hi], Y)
-            else:
-                xbar, ybar, vx, vy = row_stats[:, lo:hi]
-                with np.errstate(all="ignore"):  # se2 is checked below
-                    X[lo:hi].mean(axis=1, out=xbar)
-                    Y.mean(axis=1, out=ybar)
-                    X[lo:hi].var(axis=1, ddof=1, out=vx)
-                    Y.var(axis=1, ddof=1, out=vy)
-        if test == "wmw_exact":
-            stat = U[:b] - m * n / 2
-        elif test == "wmw_normal":
-            stat = (U[:b] - e0) / sd0
-        else:
-            xbar, ybar, vx, vy = row_stats[:, :b]
-            with np.errstate(all="ignore"):
-                if test == "t_hom":
-                    se2 = ((m - 1) * vx + (n - 1) * vy) / (m + n - 2) * (1.0 / m + 1.0 / n)
-                else:  # t_het: Welch statistic with per-trial degrees of freedom
-                    v1, v2 = vx / m, vy / n
-                    se2 = v1 + v2
-                stat = (xbar - ybar) / np.sqrt(se2)
-            if not (np.isfinite(se2).all() and se2.min() >= np.finfo(float).tiny):
-                raise ValueError(f"{test}: a trial's variance of the mean is not a finite normal "
-                                 "float; standard deviations must be about 1e-153 to 1e152")
-            if test == "t_het":
-                crit = special.stdtrit(_welch_df(v1, v2, m, n), level)
-        if two_sided:
-            stat = np.abs(stat)
-        rejections += int((stat >= crit).sum())
+        # order, so the chunks take the same draws as one call for all of Y
+        X = plan.F.sample(rng, (min(BLOCK_TRIALS, plan.trials - done), m))
+        for lo in range(0, len(X), rows):
+            x = X[lo:lo + rows]
+            stat, threshold = statistic(x, plan.G.sample(rng, (len(x), n)))
+            rejections += int(((np.abs(stat) if two_sided else stat) >= threshold).sum())
 
     rate = rejections / plan.trials
     se = math.sqrt(rate * (1.0 - rate) / plan.trials)

@@ -154,6 +154,18 @@ def test_power_curve_empty_grid_is_usage_error(capsys, grid):
     assert "--grid" in err
 
 
+@pytest.mark.parametrize("n", ["0", "1", "-3"])
+@pytest.mark.parametrize("argv", [
+    ("power-curve",), ("power-curve", "--grid", "0.5"), ("power", "--omega", "0.5"),
+], ids=" ".join)
+def test_total_below_two_is_usage_error(capsys, argv, n):
+    code, out, err = run(capsys, *argv, "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD,
+                         "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: total sample size N must be an int >= 2, got {n}\n"
+
+
 def test_deficiency_general(capsys):
     code, out, _ = run(
         capsys, "deficiency", "--omega", "0.5", "--f-spec", NORMAL_SHIFTED,

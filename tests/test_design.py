@@ -82,6 +82,18 @@ def test_power_curve_grid_points():
     assert [p.m for p in points] == [15, 25, 35]
 
 
+@pytest.mark.parametrize("total_n", [0, 1, -3, True, 50.0], ids=repr)
+@pytest.mark.parametrize("grid", [None, [0.5]], ids=["default grid", "grid 0.5"])
+def test_total_sample_size_must_be_an_int_of_at_least_two(total_n, grid):
+    message = f"total sample size N must be an int >= 2, got {total_n!r}"
+    with pytest.raises(ConfigurationError) as info:
+        power_curve(normal(0.75, 1), normal(0, 1), total_n, grid=grid)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        Design.from_total(total_n, 0.5)
+    assert str(info.value) == message
+
+
 def test_empty_grid_raises():
     with pytest.raises(ConfigurationError):
         optimal_design(normal(0.75, 1), normal(0, 1), 3, epsilon=0.45)

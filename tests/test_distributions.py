@@ -13,7 +13,7 @@ from wmwdesign import (
     normal,
     student_t,
 )
-from wmwdesign.distributions import scalar_functions
+from wmwdesign.distributions import kernel
 from scipy_oracle import frozen
 
 ALL_FAMILIES = [
@@ -228,7 +228,7 @@ def test_pdf_cdf_bitwise_equal_to_scipy(spec, method):
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=_kernel_id)
 def test_scalar_functions_bitwise_equal_to_scipy(spec):
     # the quadrature integrands call these with Python floats
-    fns, oracle = scalar_functions(spec), frozen(spec)
+    fns, oracle = kernel(spec), frozen(spec)
     with np.errstate(all="ignore"):
         for x in _points(spec):
             for got, want in ((fns.pdf(float(x)), oracle.pdf(x - spec.shift)),
@@ -267,8 +267,8 @@ def test_two_dimensional_input_keeps_its_shape(spec):
             got = getattr(spec, method)(x)
             assert got.shape == x.shape
             assert got.tobytes() == getattr(spec, method)(x.ravel()).tobytes()
-            kernel = getattr(scalar_functions(spec), method)
-            assert kernel(x).tobytes() == got.tobytes()
+            kernel_fn = getattr(kernel(spec), method)
+            assert kernel_fn(x).tobytes() == got.tobytes()
 
 
 SAMPLE_SHAPES = [(2048, 5), (2048, 70), (7, 3), 1, (1,), (1, 1)]

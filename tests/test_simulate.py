@@ -229,7 +229,9 @@ class _Recorded:
 ])
 @pytest.mark.parametrize("integer_valued", [False, True])
 @pytest.mark.parametrize("rows", [5, 1])
-def test_simulate_power_row_chunks_match_oracle(monkeypatch, test, m, n, integer_valued, rows):
+@pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
+def test_simulate_power_row_chunks_match_oracle(monkeypatch, test, m, n, integer_valued, rows,
+                                                side):
     # 64 trials, Y drawn in twelve row chunks of five and a ragged one of
     # four or, with the budget below m + n, one row at a time; the oracle
     # draws Y whole and counts U by broadcasting
@@ -244,7 +246,7 @@ def test_simulate_power_row_chunks_match_oracle(monkeypatch, test, m, n, integer
     monkeypatch.setattr(simulate_mod, "_u_matrix", recorded_u_matrix)
     F = _Recorded(normal(0.3, 1.0), integer_valued)
     G = _Recorded(normal(0.0, 1.0), integer_valued)
-    plan = SimulationPlan(F, G, Design(m, n), trials=64, seed=m * 1000 + n)
+    plan = SimulationPlan(F, G, Design(m, n), side=side, trials=64, seed=m * 1000 + n)
     res = simulate_power(plan, test=test)
 
     chunks = [5] * 12 + [4] if rows == 5 else [1] * 64
@@ -268,8 +270,8 @@ def test_simulate_power_row_chunks_match_oracle(monkeypatch, test, m, n, integer
 def test_simulate_power_block_memory_is_x_plus_a_fixed_workspace(monkeypatch, test, F, G):
     # One full block at the largest wmw_normal design the benchmark draws.
     # X's 2048 x 391 draws (6.1 MiB) come whole; Y comes in row chunks of
-    # MERGE_BUDGET values, merged or reduced into a workspace of about
-    # 1.3 MiB. Drawing Y whole and scaling each draw into a copy took
+    # MERGE_BUDGET values, each taken to its rejections with about 1.3 MiB
+    # of temporaries. Drawing Y whole and scaling each draw into a copy took
     # 13.4 MiB for the U tests (18.6 for the lognormal pair) and 18.7 MiB
     # for the t tests, whose row variances copied X.
     m, n = 391, 399
