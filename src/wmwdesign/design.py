@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .distributions import DistributionSpec
 from .moments import Design, _check_total
-from .power import ONE_SIDED_UPPER, ConfigurationError, _deficiency_search, _grid, wmw_power_at
+from .power import ONE_SIDED_UPPER, _deficiency_search, _grid, wmw_power_at
 from .power import wmw_power  # noqa: F401  kept as design.wmw_power for perfbench/spans.py
 
 
@@ -27,10 +27,6 @@ class DesignReport:
     epsilon: float
 
 
-def _point(power_at, d: Design) -> CurvePoint:
-    return CurvePoint(d.omega, d.m, d.n, power_at(d.m, d.n))
-
-
 def optimal_design(F: DistributionSpec, G: DistributionSpec, total_n: int,
                    alpha: float = 0.05, side: str = ONE_SIDED_UPPER,
                    epsilon: float = 0.1, compute_deficiency: bool = True) -> DesignReport:
@@ -41,29 +37,21 @@ def optimal_design(F: DistributionSpec, G: DistributionSpec, total_n: int,
     costs one quadrature triple regardless of grid size.
     """
     power_at = wmw_power_at(F, G, alpha, side)
-    curve = [_point(power_at, Design(m, total_n - m)) for m in _grid(total_n, epsilon)]
+    curve = [CurvePoint(d.omega, d.m, d.n, power_at(d)) for d in _grid(total_n, epsilon)]
     best = max(curve, key=lambda p: (p.power, -abs(p.omega - 0.5), -p.m))
-    optimal = Design(best.m, best.n)
-
     deficiency = None
     if compute_deficiency:
         deficiency = _deficiency_search(power_at, total_n, 0.5, best.power)
-
-    return DesignReport(
-        optimal=optimal,
-        optimal_power=best.power,
-        power_curve=tuple(curve),
-        deficiency_at_half=deficiency,
-        epsilon=epsilon,
-    )
+    return DesignReport(optimal=Design(best.m, best.n), optimal_power=best.power,
+                        power_curve=tuple(curve), deficiency_at_half=deficiency, epsilon=epsilon)
 
 
 def power_curve(F: DistributionSpec, G: DistributionSpec, total_n: int,
                 alpha: float = 0.05, side: str = ONE_SIDED_UPPER,
                 grid: list[float] | None = None) -> list[CurvePoint]:
     """Power at the realizable design nearest each requested allocation fraction."""
-    _check_total(total_n, ConfigurationError)
-    if grid is None:
-        grid = [m / total_n for m in range(1, total_n)]
+    _check_total(total_n)  # an empty grid still rejects a bad N
     power_at = wmw_power_at(F, G, alpha, side)
-    return [_point(power_at, Design.from_total(total_n, omega)) for omega in grid]
+    designs = (_grid(total_n, 0.0) if grid is None
+               else (Design.from_total(total_n, omega) for omega in grid))
+    return [CurvePoint(d.omega, d.m, d.n, power_at(d)) for d in designs]

@@ -13,14 +13,23 @@ from .exceedance import RESULT_TOL, second_moment_integrals
 
 def _is_int(value) -> bool:
     """An int or numpy integer, but not a bool."""
-    # exact type first: Design checks both sizes and is built twice per scanned design
+    # exact type first: Design checks both sizes, and every scanned design builds one
     return type(value) is int or (isinstance(value, (int, np.integer))
                                   and not isinstance(value, bool))
 
 
-def _check_total(total_n, error=ValueError):
+class ConfigurationError(ValueError):
+    """A total N that is not an int >= 2, a bad epsilon, or an empty search grid."""
+
+
+def _check_total(total_n):
     if not (_is_int(total_n) and total_n >= 2):
-        raise error(f"total sample size N must be an int >= 2, got {total_n!r}")
+        raise ConfigurationError(f"total sample size N must be an int >= 2, got {total_n!r}")
+
+
+def _check_omega(omega):
+    if not 0.0 < omega < 1.0:
+        raise ValueError(f"omega must be in (0, 1), got {omega}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +57,7 @@ class Design:
     def from_total(cls, total_n: int, omega: float) -> "Design":
         """Nearest realizable design to allocation fraction omega in (0, 1)."""
         _check_total(total_n)
-        if not 0.0 < omega < 1.0:
-            raise ValueError(f"omega must be in (0, 1), got {omega}")
+        _check_omega(omega)
         m = int(round(omega * total_n))
         m = min(max(m, 1), total_n - 1)
         return cls(m, total_n - m)
@@ -116,8 +124,8 @@ def standardized_mean_symmetric(omega: float, total_n: int, p: float) -> float:
     G(x) = F(x + a) the standardized mean collapses to
     sqrt(omega (1-omega)) N (p - 1/2) / sqrt((N+1)/12).
     """
-    if not 0.0 < omega < 1.0:
-        raise ValueError(f"omega must be in (0, 1), got {omega}")
+    _check_total(total_n)
+    _check_omega(omega)
     return (
         math.sqrt(omega * (1.0 - omega))
         * total_n

@@ -9,7 +9,8 @@ import numpy as np
 from scipy import special
 
 from .distributions import DistributionSpec
-from .moments import Design, MomentSummary, alt_moments
+from .moments import (ConfigurationError, Design, MomentSummary, _check_omega, _check_total,
+                      alt_moments)
 
 ONE_SIDED_UPPER = "one_sided_upper"
 TWO_SIDED = "two_sided"
@@ -24,10 +25,6 @@ CAP_FACTOR = 20
 
 class AllocationSearchError(RuntimeError):
     """Deficiency search exhausted its sample-size cap."""
-
-
-class ConfigurationError(ValueError):
-    """The requested search grid is empty, or its total or epsilon is invalid."""
 
 
 def _check_side(side: str):
@@ -102,27 +99,30 @@ def wmw_power(q: PowerQuery) -> PowerResult:
 
 def deficiency_symmetric(omega: float) -> float:
     """Closed-form deficiency 1 / (4 omega (1 - omega)) - 1 of allocation omega."""
-    if not 0.0 < omega < 1.0:
-        raise ValueError(f"omega must be in (0, 1), got {omega}")
+    _check_omega(omega)
     return 1.0 / (4.0 * omega * (1.0 - omega)) - 1.0
 
 
 def wmw_power_at(F: DistributionSpec, G: DistributionSpec, alpha: float = 0.05,
                  side: str = ONE_SIDED_UPPER):
-    """The function (m, n) -> approximate WMW power of the design m/n.
+    """The function Design -> approximate WMW power of that design.
 
     Checks alpha and side, and computes the critical values, once for all designs.
     """
     crit = _critical_values(alpha, side)
 
-    def power_at(m: int, n: int) -> float:
-        return _power(alt_moments(Design(m, n), F, G), crit, side)
+    def power_at(d: Design) -> float:
+        return _power(alt_moments(d, F, G), crit, side)
 
     return power_at
 
 
-def _grid(total_n: int, epsilon: float, smallest: int = 1) -> range:
-    """Group sizes m with epsilon <= m/N <= 1-epsilon and both groups >= smallest."""
+def _grid(total_n: int, epsilon: float, smallest: int = 1) -> list[Design]:
+    """The designs m/(N - m) with epsilon <= m/N <= 1-epsilon and both groups >= smallest.
+
+    A total N that is not an int >= 2, a bad epsilon or no design is a ConfigurationError.
+    """
+    _check_total(total_n)
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ConfigurationError(f"epsilon must be finite and >= 0, got {epsilon}")
     lo = max(smallest, math.ceil(epsilon * total_n))
@@ -131,7 +131,7 @@ def _grid(total_n: int, epsilon: float, smallest: int = 1) -> range:
         raise ConfigurationError(
             f"no realizable allocations for N={total_n} with epsilon={epsilon}"
         )
-    return range(lo, hi + 1)
+    return [Design(m, total_n - m) for m in range(lo, hi + 1)]
 
 
 def _deficiency_search(power_at, total_n: int, omega: float, target: float) -> float:
@@ -144,15 +144,11 @@ def _deficiency_search(power_at, total_n: int, omega: float, target: float) -> f
     choice, and the deficiency can depend on it (for normal(0.75, 0.5) vs
     normal(0, 1) at N = 50 it gives 0.04, the opposite split 0.02).
     """
-    if not 0.0 < omega < 1.0:
-        raise ValueError(f"omega must be in (0, 1), got {omega}")
-    for np_total in range(total_n, CAP_FACTOR * total_n + 1):
-        m = int(round(omega * np_total))
-        n = np_total - m
-        if m < 1 or n < 1:
-            continue
-        if power_at(m, n) >= target - 1e-12:
-            return np_total / total_n - 1.0
+    _check_omega(omega)
+    for t in range(total_n, CAP_FACTOR * total_n + 1):
+        m = int(round(omega * t))
+        if 1 <= m < t and power_at(Design(m, t - m)) >= target - 1e-12:
+            return t / total_n - 1.0
     raise AllocationSearchError(
         f"no total sample size up to {CAP_FACTOR}x reaches the optimal power"
     )
@@ -169,7 +165,7 @@ def deficiency_general(F: DistributionSpec, G: DistributionSpec, total_n: int,
     to even, a choice the paper leaves open.
     """
     power_at = wmw_power_at(F, G, alpha, side)
-    target = max(power_at(m, total_n - m) for m in _grid(total_n, epsilon))
+    target = max(map(power_at, _grid(total_n, epsilon)))
     return _deficiency_search(power_at, total_n, omega, target)
 
 
@@ -235,8 +231,8 @@ def welch_deficiency(mu1: float, sd1: float, mu2: float, sd2: float, total_n: in
     The optimum is taken over the same grid as ``deficiency_general``, with at
     least two subjects per group so that Welch's degrees of freedom exist.
     """
-    def power_at(m, n):
-        return welch_power(mu1, sd1, mu2, sd2, Design(m, n), alpha, side).approx_power
+    def power_at(d: Design) -> float:
+        return welch_power(mu1, sd1, mu2, sd2, d, alpha, side).approx_power
 
-    target = max(power_at(m, total_n - m) for m in _grid(total_n, epsilon, smallest=2))
+    target = max(map(power_at, _grid(total_n, epsilon, smallest=2)))
     return _deficiency_search(power_at, total_n, omega, target)

@@ -278,14 +278,14 @@ def test_reproduce_epping_out_writes_report(tmp_path, capsys):
 
 @pytest.mark.parametrize("n", ["0", "-5", "1"])
 def test_deficiency_general_total_without_allocations_is_usage_error(capsys, n):
-    # --n 0 used to be taken for a missing --n
+    # --n 0 used to be taken for a missing --n; the grid applies the total rule first
     code, out, err = run(
         capsys, "deficiency", "--omega", "0.5", "--f-spec", NORMAL_SHIFTED,
         "--g-spec", NORMAL_STD, "--n", n,
     )
     assert code == 1
     assert out == ""
-    assert err == f"error: no realizable allocations for N={n} with epsilon=0.1\n"
+    assert err == f"error: total sample size N must be an int >= 2, got {n}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,10 +6,12 @@ from wmwdesign import (
     PowerQuery,
     TWO_SIDED,
     chi_square,
+    deficiency_general,
     exponential,
     normal,
     optimal_design,
     power_curve,
+    welch_deficiency,
     wmw_power,
 )
 
@@ -85,13 +87,18 @@ def test_power_curve_grid_points():
 @pytest.mark.parametrize("total_n", [0, 1, -3, True, 50.0], ids=repr)
 @pytest.mark.parametrize("grid", [None, [0.5]], ids=["default grid", "grid 0.5"])
 def test_total_sample_size_must_be_an_int_of_at_least_two(total_n, grid):
+    # the grid scans used to blame a float N's group size, and report no
+    # allocations for N=True
+    F, G = normal(0.75, 1), normal(0, 1)
     message = f"total sample size N must be an int >= 2, got {total_n!r}"
-    with pytest.raises(ConfigurationError) as info:
-        power_curve(normal(0.75, 1), normal(0, 1), total_n, grid=grid)
-    assert str(info.value) == message
-    with pytest.raises(ValueError) as info:
-        Design.from_total(total_n, 0.5)
-    assert str(info.value) == message
+    for call in (lambda: power_curve(F, G, total_n, grid=grid),
+                 lambda: Design.from_total(total_n, 0.5),
+                 lambda: optimal_design(F, G, total_n),
+                 lambda: deficiency_general(F, G, total_n, 0.5),
+                 lambda: welch_deficiency(0.75, 1.0, 0.0, 1.0, total_n, 0.5)):
+        with pytest.raises(ConfigurationError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_empty_grid_raises():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wmwdesign import (
+    ConfigurationError,
     Design,
     alt_moments,
     exponential,
@@ -129,6 +130,14 @@ def test_swap_symmetry():
 def test_standardized_mean_null_value():
     for omega in (0.1, 0.5, 0.9):
         assert standardized_mean_symmetric(omega, 50, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("total_n", [-1, -5, 0, 1, True, 50.0], ids=repr)
+def test_standardized_mean_rejects_a_total_that_is_not_an_int_of_at_least_two(total_n):
+    # it used to divide by zero at -1, fail in math.sqrt at -5 and return numbers for the rest
+    with pytest.raises(ConfigurationError) as info:
+        standardized_mean_symmetric(0.5, total_n, 0.7)
+    assert str(info.value) == f"total sample size N must be an int >= 2, got {total_n!r}"
 
 
 def test_standardized_mean_maximized_at_half():

@@ -101,7 +101,7 @@ def test_power_matches_scipy_stats_oracle_bitwise():
         res = wmw_power(PowerQuery(F, G, Design(m, n), alpha, side))
         assert not res.degenerate_variance
         want = _oracle_normal_power(res.mu_n, res.sigma2_n, alpha, side).hex()
-        got = (res.approx_power.hex(), wmw_power_at(F, G, alpha, side)(m, n).hex())
+        got = (res.approx_power.hex(), wmw_power_at(F, G, alpha, side)(Design(m, n)).hex())
         if got != (want, want):
             mismatches.append((F, G, m, n, alpha, side, got, want))
     assert mismatches == []
@@ -134,7 +134,7 @@ def test_degenerate_variance_power_and_flags(F, G, one_sided, two_sided):
             res = wmw_power(PowerQuery(F, G, Design(m, n), side=side))
             assert res.degenerate_variance and res.low_confidence
             assert res.sigma2_n == 0.0
-            assert res.approx_power == power_at(m, n) == want
+            assert res.approx_power == power_at(Design(m, n)) == want
 
 
 @pytest.mark.parametrize("alpha,side", [(1.5, "one_sided_upper"), (0.0, "one_sided_upper"),
