@@ -142,9 +142,9 @@ def _deficiency_search(power_at, total_n: int, omega: float, target: float) -> f
     a total of 51 splits 26/25 and a total of 53 splits 26/27.  The paper does
     not say which group gets the odd subject; this rule is the package's
     choice, and the deficiency can depend on it (for normal(0.75, 0.5) vs
-    normal(0, 1) at N = 50 it gives 0.04, the opposite split 0.02).
+    normal(0, 1) at N = 50 it gives 0.04, the opposite split 0.02).  Callers
+    check omega in (0, 1) before they scan their grid for the target.
     """
-    _check_omega(omega)
     for t in range(total_n, CAP_FACTOR * total_n + 1):
         m = int(round(omega * t))
         if 1 <= m < t and power_at(Design(m, t - m)) >= target - 1e-12:
@@ -164,6 +164,7 @@ def deficiency_general(F: DistributionSpec, G: DistributionSpec, total_n: int,
     ``_deficiency_search`` documents: m = round(omega * t) with halves rounded
     to even, a choice the paper leaves open.
     """
+    _check_omega(omega)
     power_at = wmw_power_at(F, G, alpha, side)
     target = max(map(power_at, _grid(total_n, epsilon)))
     return _deficiency_search(power_at, total_n, omega, target)
@@ -192,9 +193,15 @@ def welch_optimal_omega(sd1: float, sd2: float) -> float:
     return 1.0 / (1.0 + sd2 / sd1)
 
 
-def welch_power(mu1: float, sd1: float, mu2: float, sd2: float, design: Design,
-                alpha: float = 0.05, side: str = ONE_SIDED_UPPER) -> PowerResult:
-    """Power of the Welch t-test via the noncentral t distribution."""
+def _welch_powers(mu1: float, sd1: float, mu2: float, sd2: float, m, n,
+                  alpha: float, side: str):
+    """Welch t-test power and noncentrality at the designs m[i]/n[i] (int arrays), in one pass.
+
+    Checks alpha, side, means and sds, then se2 = sd1²/m + sd2²/n at every
+    design; the first design whose se2 is not finite and > 0 is named in the
+    ValueError.  A design with a group of one gets df = 1: Welch's df needs
+    two subjects per group.
+    """
     from scipy import stats  # imported on first use: importing wmwdesign stays cheap
 
     _check_alpha(alpha)
@@ -202,24 +209,37 @@ def welch_power(mu1: float, sd1: float, mu2: float, sd2: float, design: Design,
     _check_sds(sd1, sd2)
     if not (math.isfinite(mu1) and math.isfinite(mu2)):
         raise ValueError(f"means must be finite, got {mu1}, {mu2}")
-    m, n = design.m, design.n
     v1, v2 = sd1 * sd1 / m, sd2 * sd2 / n
-    se2 = v1 + v2
-    if not 0.0 < se2 < math.inf:  # the sds' squares overflowed or underflowed
-        raise ValueError(f"standard deviations {sd1}, {sd2} at m={m}, n={n} give "
-                         f"se2={se2}; sds and se2 both must be finite and > 0")
-    df = _welch_df(v1, v2, m, n) if min(m, n) > 1 else 1.0
-    ncp = (mu1 - mu2) / math.sqrt(se2)
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+        se2 = v1 + v2
+    finite = (se2 > 0.0) & (se2 < math.inf)
+    if not finite.all():  # the sds' squares overflowed or underflowed
+        i = finite.argmin()
+        raise ValueError(f"standard deviations {sd1}, {sd2} at m={m[i]}, n={n[i]} give "
+                         f"se2={se2[i]}; sds and se2 both must be finite and > 0")
+    df = np.ones_like(se2)
+    two_each = (m > 1) & (n > 1)
+    df[two_each] = _welch_df(v1[two_each], v2[two_each], m[two_each], n[two_each])
+    ncp = (mu1 - mu2) / np.sqrt(se2)
     two_sided = side == TWO_SIDED
     tcrit = special.stdtrit(df, 1.0 - alpha / 2.0 if two_sided else 1.0 - alpha)
     # the noncentral-t sf has no public ufunc; the lower tail is the upper
-    # tail at -ncp, because nctdtr(df, ncp, -tcrit) is NaN once ncp passes ~6.6
+    # tail at -ncp, because nctdtr(df, ncp, -tcrit) is NaN once ncp passes ~6.6.
+    # Both tails go in one call on flat arguments of one shape: broadcasting
+    # inside scipy.stats costs more than the copies
     if two_sided:
-        upper, lower = stats.nct.sf(tcrit, df, (ncp, -ncp))
-        power = upper + lower
-    else:
-        power = stats.nct.sf(tcrit, df, ncp)
-    return PowerResult(float(power), ncp, 1.0, "welch_approx",
+        upper, lower = stats.nct.sf(np.concatenate((tcrit, tcrit)), np.concatenate((df, df)),
+                                    np.concatenate((ncp, -ncp))).reshape(2, -1)
+        return upper + lower, ncp
+    return stats.nct.sf(tcrit, df, ncp), ncp
+
+
+def welch_power(mu1: float, sd1: float, mu2: float, sd2: float, design: Design,
+                alpha: float = 0.05, side: str = ONE_SIDED_UPPER) -> PowerResult:
+    """Power of the Welch t-test via the noncentral t distribution."""
+    m, n = design.m, design.n
+    power, ncp = _welch_powers(mu1, sd1, mu2, sd2, np.array([m]), np.array([n]), alpha, side)
+    return PowerResult(float(power[0]), float(ncp[0]), 1.0, "welch_approx",
                        low_confidence=min(m, n) < 2)
 
 
@@ -231,8 +251,12 @@ def welch_deficiency(mu1: float, sd1: float, mu2: float, sd2: float, total_n: in
     The optimum is taken over the same grid as ``deficiency_general``, with at
     least two subjects per group so that Welch's degrees of freedom exist.
     """
+    _check_omega(omega)
+    grid = _grid(total_n, epsilon, smallest=2)
+    powers, _ = _welch_powers(mu1, sd1, mu2, sd2, np.array([d.m for d in grid]),
+                              np.array([d.n for d in grid]), alpha, side)
+
     def power_at(d: Design) -> float:
         return welch_power(mu1, sd1, mu2, sd2, d, alpha, side).approx_power
 
-    target = max(map(power_at, _grid(total_n, epsilon, smallest=2)))
-    return _deficiency_search(power_at, total_n, omega, target)
+    return _deficiency_search(power_at, total_n, omega, float(powers.max()))

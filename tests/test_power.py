@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import warnings
 from decimal import ROUND_HALF_EVEN, Decimal
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from wmwdesign import (
+    AllocationSearchError,
     ConfigurationError,
     Design,
     PowerQuery,
@@ -26,7 +29,8 @@ from wmwdesign import (
     welch_power,
     wmw_power,
 )
-from wmwdesign.power import _critical_values, wmw_power_at
+from wmwdesign import power as power_mod
+from wmwdesign.power import _critical_values, _welch_powers, wmw_power_at
 from wmwdesign.scenarios import SCENARIOS
 
 CATALOGUE_PAIRS = list(dict.fromkeys((s.F, s.G) for group in SCENARIOS.values() for s in group))
@@ -286,6 +290,81 @@ def test_welch_power_matches_scipy_stats_oracle_bitwise():
     assert oracle_nan != []  # the NaN branch is exercised
 
 
+def _oracle_welch_deficiency(mu1, sd1, mu2, sd2, total_n, omega, alpha, side, epsilon=0.1):
+    """The Welch deficiency from _oracle_welch_power: the optimum over the grid
+    epsilon <= m/N <= 1 - epsilon with both groups >= 2, then totals N..20 N
+    split as m = round(omega * t) with halves to even; None if none reaches it."""
+    def power(m, n):
+        return _oracle_welch_power(mu1, sd1, mu2, sd2, m, n, alpha, side)[0]
+
+    target = max(power(m, total_n - m) for m in range(2, total_n - 1)
+                 if epsilon <= m / total_n <= 1 - epsilon)
+    for t in range(total_n, 20 * total_n + 1):
+        m = int(Decimal(omega * t).to_integral_value(rounding=ROUND_HALF_EVEN))
+        if 1 <= m < t and power(m, t - m) >= target - 1e-12:
+            return t / total_n - 1.0
+    return None
+
+
+@pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.3])
+def test_welch_deficiency_matches_scipy_stats_oracle_bitwise(alpha, side):
+    # omega = 0.04 splits N = 21 as 1/20 and N = 20 as 1/19, 0.08 gives groups
+    # of two; the package is scale-free, so at 2^+-300 it must answer what the
+    # oracle (whose squares overflow there) answers at scale 1
+    cases = itertools.product([(0.75, 1.0, 1.0), (1.5, 3.0, 1.0), (0.5, 0.5, 2.0)], [20, 21],
+                              [0.04, 0.08, 0.3, 0.5, 0.85])
+    mismatches = []
+    for (mu1, sd1, sd2), total_n, omega in cases:
+        want = _oracle_welch_deficiency(mu1, sd1, 0.0, sd2, total_n, omega, alpha, side)
+        for scale in (1.0, 2.0 ** 300, 2.0 ** -300):
+            got = welch_deficiency(mu1 * scale, sd1 * scale, 0.0, sd2 * scale, total_n,
+                                   omega, alpha, side)
+            if got.hex() != want.hex():
+                mismatches.append((mu1, sd1, sd2, scale, total_n, omega, got, want))
+    assert mismatches == []
+
+
+def test_welch_deficiency_search_failure_matches_oracle():
+    # the optimum puts 45 of 50 in the sd-10 group; at omega = 0.02 even
+    # 20 N = 1000 subjects (20/980) fall short of it
+    assert _oracle_welch_deficiency(0.75, 10.0, 0.0, 1.0, 50, 0.02, 0.05,
+                                    "one_sided_upper") is None
+    with pytest.raises(AllocationSearchError):
+        welch_deficiency(0.75, 10.0, 0.0, 1.0, 50, 0.02)
+
+
+def test_welch_powers_on_an_array_of_designs_match_welch_power_bitwise():
+    m = np.array([1, 1, 2, 6, 3, 25, 40, 1, 2, 400])
+    n = np.array([1, 6, 2, 1, 11, 25, 9, 300, 700, 400])
+    largest_two_sided_ncp = 0.0
+    for (mu1, sd1, sd2), alpha, side in itertools.product(
+            [(0.0, 1.0, 1.0), (0.5, 2.0, 0.5), (3.0, 1.0, 1.0), (-1.0, 0.3, 3.0)],
+            [0.01, 0.05, 0.3], ["one_sided_upper", TWO_SIDED]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            powers, ncps = _welch_powers(mu1, sd1, 0.0, sd2, m, n, alpha, side)
+        assert [str(w.message) for w in caught] == []
+        want = [welch_power(mu1, sd1, 0.0, sd2, Design(a, b), alpha, side)
+                for a, b in zip(m.tolist(), n.tolist())]
+        assert [p.hex() for p in powers.tolist()] == [w.approx_power.hex() for w in want]
+        assert [c.hex() for c in ncps.tolist()] == [w.mu_n.hex() for w in want]
+        if side == TWO_SIDED:
+            largest_two_sided_ncp = max(largest_two_sided_ncp, ncps.max())
+    assert largest_two_sided_ncp > 6.6  # where stats.nct.cdf's lower tail is NaN
+
+
+@pytest.mark.parametrize("sd,m,n,first", [
+    # 1.2e154 squared is 1.44e308: se2 overflows at 1/2 and 1/1, not at 2/2
+    (1.2e154, [2, 1, 1], [2, 2, 1], "m=1, n=2 give se2=inf"),
+    # 1e-160 squared is subnormal: se2 underflows to 0 in the large groups
+    (1e-160, [1, 20000, 10000], [1, 20000, 10000], "m=20000, n=20000 give se2=0.0"),
+])
+def test_welch_powers_name_the_first_design_whose_se2_is_not_finite(sd, m, n, first):
+    with pytest.raises(ValueError, match=re.escape(first)):
+        _welch_powers(0.5, sd, 0.0, sd, np.array(m), np.array(n), 0.05, "one_sided_upper")
+
+
 def test_welch_two_sided_power_is_finite_at_large_noncentrality():
     # the lower tail from nctdtr(df, ncp, -tcrit) was NaN here (ncp 10.6),
     # and the NaN made the deficiency search return 0.06
@@ -356,6 +435,21 @@ def test_deficiency_searches_reject_omega_outside_unit_interval(omega):
         deficiency_general(normal(0.75, 1), normal(0, 1), 50, omega)
     with pytest.raises(ValueError, match="omega must be in"):
         welch_deficiency(0.75, 1.0, 0.0, 1.0, 50, omega)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.5])
+def test_deficiency_searches_reject_omega_before_evaluating_a_design(monkeypatch, omega):
+    # the grid scan for the target power used to run first: at N = 4000,
+    # omega = 1.5 spent about 0.5 s (WMW) and 0.2 s (Welch) before raising
+    def evaluated(*args):
+        raise AssertionError("a design's power was evaluated")
+
+    monkeypatch.setattr(power_mod, "alt_moments", evaluated)
+    monkeypatch.setattr(power_mod, "_welch_df", evaluated)
+    with pytest.raises(ValueError, match="omega must be in"):
+        deficiency_general(normal(0.75, 1), normal(0, 1), 4000, omega)
+    with pytest.raises(ValueError, match="omega must be in"):
+        welch_deficiency(0.75, 1.0, 0.0, 1.0, 4000, omega)
 
 
 @pytest.mark.parametrize("epsilon", [float("inf"), float("-inf"), float("nan"), -0.5, -1e-300])
