@@ -1,18 +1,23 @@
 """Monte Carlo estimation of the finite-sample power of the WMW and t tests.
 
-Trials are partitioned into fixed-size blocks that run in order in one loop.
-Each block draws from an independent substream spawned from (seed, block
-index), so a plan's result is fixed by its seed.  A block draws X whole, then
-Y in row chunks of MERGE_BUDGET values, and takes each chunk in one pass to
-its statistic, critical value and rejection count.  The generator fills
-arrays in C order, so the chunks take exactly the draws of one call, and a
-block's memory is its 2048·m draws of X plus one chunk's temporaries, about
-21 bytes per value of X and Y.
+Trials are partitioned into fixed-size blocks.  Each block draws from an
+independent substream spawned from (seed, block index) and yields a Python
+int rejection count, so a plan's result is fixed by its seed, whatever the
+number of CPUs or the order in which blocks finish.  The blocks run on
+w = min(usable CPUs, blocks) threads: the calling thread runs blocks 0, w,
+2w, ... and each of w - 1 pool threads another residue class.  A block draws
+X whole, then Y in row chunks of MERGE_BUDGET values, and takes each chunk in
+one pass to its statistic, critical value and rejection count.  The generator
+fills arrays in C order, so the chunks take exactly the draws of one call,
+and a running block's memory is its 2048·m draws of X plus one chunk's
+temporaries, about 21 bytes per value of X and Y.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +103,13 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationResult:
     """Fraction of Monte Carlo trials in which the chosen test rejects.
 
@@ -148,16 +160,54 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
         return stat, crit if test == "t_hom" else special.stdtrit(_welch_df(v1, v2, m, n), level)
 
     rows = max(1, MERGE_BUDGET // (m + n))
-    rejections = 0
-    for block, done in enumerate(range(0, plan.trials, BLOCK_TRIALS)):
+
+    def block_rejections(block):
         rng = _block_rng(plan.seed, block)
         # X whole, then Y row chunk by row chunk: the generator fills in C
         # order, so the chunks take the same draws as one call for all of Y
-        X = plan.F.sample(rng, (min(BLOCK_TRIALS, plan.trials - done), m))
+        X = plan.F.sample(rng, (min(BLOCK_TRIALS, plan.trials - block * BLOCK_TRIALS), m))
+        count = 0
         for lo in range(0, len(X), rows):
             x = X[lo:lo + rows]
             stat, threshold = statistic(x, plan.G.sample(rng, (len(x), n)))
-            rejections += int(((np.abs(stat) if two_sided else stat) >= threshold).sum())
+            count += int(((np.abs(stat) if two_sided else stat) >= threshold).sum())
+        return count
+
+    blocks = range(-(-plan.trials // BLOCK_TRIALS))
+    workers = min(_usable_cpus(), len(blocks))
+    # no block above stop[0] starts: len(blocks) until a block raises, then
+    # the lowest block known to have raised (-1 once interrupted).  A lost
+    # update between threads leaves it higher, which lets more blocks run
+    # but never skips one below the lowest failure
+    stop = [len(blocks)]
+
+    def share(first):
+        """Rejections in blocks first, first + workers, ..., and the first
+        (block, error) among them, after which the share stops."""
+        count = 0
+        for block in blocks[first::workers]:
+            if block > stop[0]:
+                break
+            try:
+                count += block_rejections(block)
+            except Exception as error:
+                stop[0] = min(stop[0], block)
+                return count, (block, error)
+        return count, None
+
+    # pool threads start only on submit: one worker starts none
+    with ThreadPoolExecutor(workers) as pool:
+        helpers = [pool.submit(share, first) for first in range(1, workers)]
+        try:
+            shares = [share(0)] + [helper.result() for helper in helpers]
+        except BaseException:
+            stop[0] = -1  # interrupted: the helpers start no further block
+            raise
+    errors = [error for _, error in shares if error is not None]
+    if errors:
+        # the error a one-thread run raises: the lowest block's
+        raise min(errors, key=lambda error: error[0])[1]
+    rejections = sum(count for count, _ in shares)
 
     rate = rejections / plan.trials
     se = math.sqrt(rate * (1.0 - rate) / plan.trials)

@@ -1,4 +1,8 @@
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent import futures
 from types import SimpleNamespace
 
 import numpy as np
@@ -267,28 +271,204 @@ def test_simulate_power_row_chunks_match_oracle(monkeypatch, test, m, n, integer
     pytest.param(log_normal(0.1, 1.0, shift=0.2), log_normal(0.0, 1.0), id="lognormal"),
     pytest.param(chi_square(3.0, shift=0.2), chi_square(3.0), id="chisquare"),
 ])
-def test_simulate_power_block_memory_is_x_plus_a_fixed_workspace(monkeypatch, test, F, G):
-    # One full block at the largest wmw_normal design the benchmark draws.
-    # X's 2048 x 391 draws (6.1 MiB) come whole; Y comes in row chunks of
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_simulate_power_block_memory_is_x_plus_a_fixed_workspace(monkeypatch, test, F, G, cpus):
+    # Full blocks at the largest wmw_normal design the benchmark draws, one
+    # per usable CPU, so every block can run at once. A block's X draws,
+    # 2048 x 391 (6.1 MiB), come whole; Y comes in row chunks of
     # MERGE_BUDGET values, each taken to its rejections with about 1.3 MiB
     # of temporaries. Drawing Y whole and scaling each draw into a copy took
     # 13.4 MiB for the U tests (18.6 for the lognormal pair) and 18.7 MiB
-    # for the t tests, whose row variances copied X.
+    # for the t tests, whose row variances copied X. tracemalloc counts the
+    # allocations of every thread.
     m, n = 391, 399
+    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
     if test == "wmw_exact":
         # the real table takes seconds to build and stays in build_table's
         # cache, outside any block; a stub bound keeps it out of the count
         monkeypatch.setattr(simulate_mod, "build_table", lambda m, n, max_entries: None)
         monkeypatch.setattr(simulate_mod, "critical_value",
                             lambda table, alpha, side: SimpleNamespace(value=m * n // 2 + 1))
-    plan = SimulationPlan(F, G, Design(m, n), trials=simulate_mod.BLOCK_TRIALS, seed=391)
+    plan = SimulationPlan(F, G, Design(m, n), trials=cpus * simulate_mod.BLOCK_TRIALS, seed=391)
     tracemalloc.start()
     try:
         simulate_power(plan, test=test)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= simulate_mod.BLOCK_TRIALS * m * 8 + 4 * 2**20
+    assert peak <= cpus * (simulate_mod.BLOCK_TRIALS * m * 8 + 4 * 2**20)
+
+
+class _Blocks:
+    """``spec``'s draws; records which block each X draw serves and whether
+    the calling thread made it, after running ``before[block]()`` if given."""
+
+    def __init__(self, spec, before=()):
+        self.spec, self.before, self.drawn = spec, dict(before), []
+
+    def sample(self, rng, size):
+        (block,) = rng.bit_generator.seed_seq.spawn_key
+        self.drawn.append((block, threading.current_thread() is threading.main_thread()))
+        if block in self.before:
+            self.before[block]()
+        return self.spec.sample(rng, size)
+
+
+def _fail(block):
+    def fail():
+        raise ValueError(f"no draws in block {block}")
+    return fail
+
+
+def _hex(result):
+    return (result.rejection_rate.hex(), result.standard_error.hex(), result.test_used,
+            result.trials, result.fell_back_to_normal)
+
+
+@pytest.mark.parametrize("test", simulate_mod.TESTS)
+@pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
+def test_result_does_not_depend_on_the_number_of_cpus(monkeypatch, test, side):
+    # one block, two full ones, two and a one-trial block, and five with a
+    # ragged last one: every CPU count gives the one-thread result bit for
+    # bit, the oracle's count, and the calling thread draws blocks 0, w, 2w, ...
+    for trials in (1, 2048, 4097, 9000):
+        results = set()
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
+            F = _Blocks(normal(0.3, 1.0))
+            plan = SimulationPlan(F, normal(0.0, 1.0), Design(7, 9), side=side, trials=trials,
+                                  seed=trials)
+            results.add(_hex(simulate_power(plan, test)))
+            blocks = range(-(-trials // simulate_mod.BLOCK_TRIALS))
+            assert sorted(F.drawn) == sorted((b, b % min(cpus, len(blocks)) == 0) for b in blocks)
+        assert len(results) == 1
+        assert results.pop()[0] == (_oracle_rejections(plan, test) / trials).hex()
+
+
+@pytest.mark.parametrize("tests,fails,scale,trials,message", [
+    # only block 1: a pool thread's block whenever there are two CPUs or more
+    pytest.param(["wmw_exact"], [1], 1.0, 4097, "no draws in block 1", id="block-1"),
+    # blocks 2 to 7 on up to eight threads: the lowest block's error wins
+    pytest.param(["wmw_exact"], range(2, 8), 1.0, 8 * 2048, "no draws in block 2",
+                 id="blocks-2-to-7"),
+    # every block's variances overflow or underflow
+    pytest.param(["t_hom", "t_het"], [], 1e160, 4097, "finite normal float", id="t-overflow"),
+    pytest.param(["t_hom", "t_het"], [], 1e-200, 4097, "finite normal float", id="t-underflow"),
+])
+def test_errors_do_not_depend_on_the_number_of_cpus(monkeypatch, tests, fails, scale, trials,
+                                                    message):
+    # more threads than this host may have CPUs, switching every microsecond
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for test in tests:
+            errors = set()
+            for cpus in (1, 2, 3, 8):
+                monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
+                F = _Blocks(normal(0.5 * scale, scale), {b: _fail(b) for b in fails})
+                plan = SimulationPlan(F, normal(0.0, scale), Design(20, 30), trials=trials,
+                                      seed=3)
+                before = threading.active_count()
+                with pytest.raises(ValueError, match=message) as raised:
+                    simulate_power(plan, test)
+                assert threading.active_count() == before
+                errors.add((type(raised.value), str(raised.value)))
+            assert len(errors) == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pool_threads_start_only_for_a_second_block_and_cpu(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    for cpus, trials, threads in ((8, 2048, 0), (1, 9000, 0), (3, 4097, 2), (2, 9000, 1)):
+        monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        started.clear()
+        simulate_power(SimulationPlan(normal(0.3, 1.0), normal(0.0, 1.0), Design(7, 9),
+                                      trials=trials, seed=1))
+        assert len(started) == threads
+        assert threading.active_count() == before
+
+
+class _Pool(simulate_mod.ThreadPoolExecutor):
+    """The executor, with its futures and the start of its shutdown visible."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.futures, self.shutting_down = [], threading.Event()
+        _Pool.last = self
+
+    def submit(self, *args):
+        self.futures.append(super().submit(*args))
+        return self.futures[-1]
+
+    def shutdown(self, *args, **kwargs):
+        self.shutting_down.set()
+        super().shutdown(*args, **kwargs)
+
+
+def _helper_fails_in_block_1():
+    # the caller waits in block 0 until the pool thread has failed in block 1
+    return {0: lambda: futures.wait(_Pool.last.futures, timeout=60), 1: _fail(1)}
+
+
+def _caller_fails_in_block_0_last():
+    # the caller fails in block 0 after the pool thread has failed in block 1
+    def fail_0():
+        futures.wait(_Pool.last.futures, timeout=60)
+        _fail(0)()
+
+    return {0: fail_0, 1: _fail(1)}
+
+
+def _caller_is_interrupted_in_block_0():
+    # the pool thread waits in block 1 until the caller has stopped
+    def interrupt():
+        raise KeyboardInterrupt
+
+    return {0: interrupt, 1: lambda: _Pool.last.shutting_down.wait(timeout=60)}
+
+
+def _caller_fails_in_block_2_first():
+    # the pool thread fails in block 1 only after the caller has failed in
+    # block 2, which one thread would never reach
+    caller_failed = threading.Event()
+
+    def fail_2():
+        caller_failed.set()
+        _fail(2)()
+
+    return {1: lambda: caller_failed.wait(timeout=60) and _fail(1)(), 2: fail_2}
+
+
+@pytest.mark.parametrize("hooks,error,message,drawn", [
+    (_helper_fails_in_block_1, ValueError, "no draws in block 1", [0, 1]),
+    (_caller_is_interrupted_in_block_0, KeyboardInterrupt, None, [0, 1]),
+    (_caller_fails_in_block_2_first, ValueError, "no draws in block 1", [0, 1, 2]),
+    (_caller_fails_in_block_0_last, ValueError, "no draws in block 0", [0, 1]),
+])
+def test_no_block_starts_after_a_lower_one_fails(monkeypatch, hooks, error, message, drawn):
+    # and the lowest failing block's error is raised, as on one thread
+    monkeypatch.setattr(simulate_mod, "ThreadPoolExecutor", _Pool)
+    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: 2)
+    F = _Blocks(normal(0.3, 1.0), hooks())
+    with pytest.raises(error, match=message):
+        simulate_power(SimulationPlan(F, normal(0.0, 1.0), Design(7, 9), trials=6 * 2048))
+    assert sorted(F.drawn) == [(block, block % 2 == 0) for block in drawn]
+
+
+def test_usable_cpus_is_the_affinity_set_or_the_cpu_count(monkeypatch):
+    assert simulate_mod._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate_mod._usable_cpus() == 1
 
 
 @pytest.mark.parametrize("field,value", [
