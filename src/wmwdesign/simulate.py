@@ -3,20 +3,29 @@
 Trials are partitioned into fixed-size blocks.  Each block draws from an
 independent substream spawned from (seed, block index) and yields a Python
 int rejection count, so a plan's result is fixed by its seed, whatever the
-number of CPUs or the order in which blocks finish.  The blocks run on
-w = min(usable CPUs, blocks) threads: the calling thread runs blocks 0, w,
-2w, ... and each of w - 1 pool threads another residue class.  A block draws
-X whole, then Y in row chunks of MERGE_BUDGET values, and takes each chunk in
-one pass to its statistic, critical value and rejection count.  The generator
-fills arrays in C order, so the chunks take exactly the draws of one call,
-and a running block's memory is its 2048·m draws of X plus one chunk's
-temporaries, about 21 bytes per value of X and Y.
+number of CPUs or the order in which blocks finish.  A block draws X whole,
+then Y in row chunks of MERGE_BUDGET values; the generator fills arrays in C
+order, so the chunks take exactly the draws of one call.  Each chunk goes in
+one pass to its statistic, critical value and rejection count.
+
+The work runs on w = min(usable CPUs, row chunks) threads, so a plan with one
+row chunk or a one-CPU host starts no thread.  The calling thread draws
+blocks 0, w, 2w, ... and each of w - 1 pool threads another residue class;
+a block's owner makes all of its draws, in order.  Drawn chunks go into one
+queue of at most w; a thread with no draws left computes the oldest queued
+chunk, and an owner that finds the queue full computes the oldest itself.
+The calling thread builds the exact null table while the pool threads draw.
+Memory per running owner is its block's 2048·m draws of X, alive until the
+block's last chunk is computed, plus the queued chunks (at most w, each at
+most MERGE_BUDGET values of Y and a view of X) and one chunk's temporaries
+per thread, about 21 bytes per value of X and Y.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -126,22 +135,6 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
     fell_back = False
     e0, var0 = null_moments(plan.design)
 
-    if test == "wmw_exact":
-        try:
-            table = build_table(m, n, max_entries=MAX_TABLE_ENTRIES)
-        except TableSizeError:
-            test, fell_back = "wmw_normal", True
-        else:
-            # Centred at mn/2, exactly in float64.  The bound c exceeds mn/2,
-            # so |U - mn/2| >= c - mn/2 is U >= c or U <= mn - c, and the
-            # degenerate bound mn + 1 lies beyond every U.
-            cv = critical_value(table, plan.alpha, "two_sided" if two_sided else "upper")
-            scale, crit = 1.0, cv.value - e0
-    if test == "wmw_normal":
-        scale, crit = math.sqrt(var0), special.ndtri(level)
-    elif test == "t_hom":
-        crit = special.stdtrit(m + n - 2, level)
-
     def statistic(x, y):
         """Per-trial statistic of row samples x and y, and its critical value."""
         if test.startswith("wmw"):
@@ -160,52 +153,130 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
         return stat, crit if test == "t_hom" else special.stdtrit(_welch_df(v1, v2, m, n), level)
 
     rows = max(1, MERGE_BUDGET // (m + n))
-
-    def block_rejections(block):
-        rng = _block_rng(plan.seed, block)
-        # X whole, then Y row chunk by row chunk: the generator fills in C
-        # order, so the chunks take the same draws as one call for all of Y
-        X = plan.F.sample(rng, (min(BLOCK_TRIALS, plan.trials - block * BLOCK_TRIALS), m))
-        count = 0
-        for lo in range(0, len(X), rows):
-            x = X[lo:lo + rows]
-            stat, threshold = statistic(x, plan.G.sample(rng, (len(x), n)))
-            count += int(((np.abs(stat) if two_sided else stat) >= threshold).sum())
-        return count
-
     blocks = range(-(-plan.trials // BLOCK_TRIALS))
-    workers = min(_usable_cpus(), len(blocks))
-    # no block above stop[0] starts: len(blocks) until a block raises, then
-    # the lowest block known to have raised (-1 once interrupted).  A lost
-    # update between threads leaves it higher, which lets more blocks run
-    # but never skips one below the lowest failure
-    stop = [len(blocks)]
+    full, ragged = divmod(plan.trials, BLOCK_TRIALS)
+    workers = min(_usable_cpus(), full * -(-BLOCK_TRIALS // rows) + -(-ragged // rows))
 
-    def share(first):
-        """Rejections in blocks first, first + workers, ..., and the first
-        (block, error) among them, after which the share stops."""
-        count = 0
-        for block in blocks[first::workers]:
-            if block > stop[0]:
-                break
-            try:
-                count += block_rejections(block)
-            except Exception as error:
-                stop[0] = min(stop[0], block)
-                return count, (block, error)
-        return count, None
+    # Steps are keyed (block, step) in one-thread order: the X draw is step
+    # 0, chunk k's Y draw step 2k + 1 and its statistic step 2k + 2.  A step
+    # runs only below lowest[0], the lowest key known to have failed
+    # ((-1, 0) once interrupted), so no block above the lowest failing one
+    # starts and the lowest key's error is always found.
+    clean = (len(blocks), 0)
+    lowest = [clean]
+    queue = []  # drawn chunks (key, owner, x, y), oldest first, at most `workers`
+    drawing = [workers]  # threads that may still queue a chunk
+    changed = threading.Condition()
+    ready = threading.Event()  # the set-up below has fixed the test and its threshold
 
-    # pool threads start only on submit: one worker starts none
-    with ThreadPoolExecutor(workers) as pool:
-        helpers = [pool.submit(share, first) for first in range(1, workers)]
+    def fail(key, error, errors):
+        """Record a failed step; no thread runs a step at or above it."""
+        errors.append((key, error))
+        with changed:
+            lowest[0] = min(lowest[0], key)
+            changed.notify_all()
+
+    def chunk_rejections(chunk, errors):
+        """The chunk's rejections, once the threshold is known; 0 if it fails
+        or a lower step has failed."""
+        key, _, x, y = chunk
+        ready.wait()
+        if key >= lowest[0]:
+            return 0
         try:
-            shares = [share(0)] + [helper.result() for helper in helpers]
+            stat, threshold = statistic(x, y)
+        except Exception as error:
+            fail(key, error, errors)
+            return 0
+        return int(((np.abs(stat) if two_sided else stat) >= threshold).sum())
+
+    def chunks(block, errors):
+        """The block's drawn row chunks in one-thread order, until a step at or
+        above the lowest failed one."""
+        key = (block, 0)
+        if key >= lowest[0]:
+            return
+        try:
+            rng = _block_rng(plan.seed, block)
+            # X whole, then Y row chunk by row chunk: the generator fills in C
+            # order, so the chunks take the same draws as one call for all of Y
+            X = plan.F.sample(rng, (min(BLOCK_TRIALS, plan.trials - block * BLOCK_TRIALS), m))
+            for k, lo in enumerate(range(0, len(X), rows)):
+                key = (block, 2 * k + 1)
+                if key >= lowest[0]:
+                    return
+                x = X[lo:lo + rows]
+                y = plan.G.sample(rng, (len(x), n))
+                yield (block, 2 * k + 2), x, y
+        except Exception as error:
+            fail(key, error, errors)
+
+    def work(owner):
+        """Draw the owner's blocks (owner, owner + workers, ...), then compute
+        queued chunks until no more can come; returns this thread's
+        rejections and its (key, error)s."""
+        count, errors = 0, []
+        for block in blocks[owner::workers]:
+            for key, x, y in chunks(block, errors):
+                chunk = (key, owner, x, y)
+                with changed:
+                    if lowest[0] == clean:
+                        queue.append(chunk)
+                        changed.notify()
+                        if len(queue) <= workers:
+                            continue
+                        chunk = queue.pop(0)  # full: compute the oldest here
+                count += chunk_rejections(chunk, errors)
+        with changed:
+            drawing[0] -= 1
+            changed.notify_all()
+        while True:
+            with changed:
+                while not queue and drawing[0] and lowest[0] == clean:
+                    changed.wait()
+                # after a failure a thread waits for no other owner: it takes
+                # only its own queued chunks, which may come before the
+                # failure in one-thread order, and ends
+                mine = [i for i, chunk in enumerate(queue)
+                        if lowest[0] == clean or chunk[1] == owner]
+                if not mine:
+                    return count, errors
+                chunk = queue.pop(mine[0])
+            count += chunk_rejections(chunk, errors)
+
+    # pool threads start only on submit: one worker starts none.  They draw
+    # while the calling thread builds the exact table, and their statistics
+    # wait for it
+    with ThreadPoolExecutor(workers) as pool:
+        helpers = [pool.submit(work, owner) for owner in range(1, workers)]
+        try:
+            if test == "wmw_exact":
+                try:
+                    table = build_table(m, n, max_entries=MAX_TABLE_ENTRIES)
+                except TableSizeError:
+                    test, fell_back = "wmw_normal", True
+                else:
+                    # Centred at mn/2, exactly in float64.  The bound c exceeds
+                    # mn/2, so |U - mn/2| >= c - mn/2 is U >= c or U <= mn - c,
+                    # and the degenerate bound mn + 1 lies beyond every U.
+                    cv = critical_value(table, plan.alpha, "two_sided" if two_sided else "upper")
+                    scale, crit = 1.0, cv.value - e0
+            if test == "wmw_normal":
+                scale, crit = math.sqrt(var0), special.ndtri(level)
+            elif test == "t_hom":
+                crit = special.stdtrit(m + n - 2, level)
+            ready.set()
+            shares = [work(0)] + [helper.result() for helper in helpers]
         except BaseException:
-            stop[0] = -1  # interrupted: the helpers start no further block
+            # a failed set-up or an interrupt: every thread stops at its next step
+            with changed:
+                lowest[0] = (-1, 0)
+                changed.notify_all()
+            ready.set()
             raise
-    errors = [error for _, error in shares if error is not None]
+    errors = [error for _, share_errors in shares for error in share_errors]
     if errors:
-        # the error a one-thread run raises: the lowest block's
+        # the error a one-thread run raises: the lowest step's
         raise min(errors, key=lambda error: error[0])[1]
     rejections = sum(count for count, _ in shares)
 

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent import futures
 from types import SimpleNamespace
@@ -238,7 +239,9 @@ def test_simulate_power_row_chunks_match_oracle(monkeypatch, test, m, n, integer
                                                 side):
     # 64 trials, Y drawn in twelve row chunks of five and a ragged one of
     # four or, with the budget below m + n, one row at a time; the oracle
-    # draws Y whole and counts U by broadcasting
+    # draws Y whole and counts U by broadcasting. On one CPU the chunks'
+    # statistics run in order, which u_chunks records
+    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(simulate_mod, "MERGE_BUDGET", 5 * (m + n) + 1 if rows == 5 else 1)
     u_chunks = []
     u_matrix = simulate_mod._u_matrix
@@ -395,6 +398,142 @@ def test_pool_threads_start_only_for_a_second_block_and_cpu(monkeypatch):
                                       trials=trials, seed=1))
         assert len(started) == threads
         assert threading.active_count() == before
+
+
+def _chunks_per_block(monkeypatch, rows, design):
+    """Row chunks of ``rows`` trials: seven per full block at 300, the last ragged."""
+    monkeypatch.setattr(simulate_mod, "MERGE_BUDGET", rows * (design.m + design.n))
+
+
+@pytest.mark.parametrize("test", simulate_mod.TESTS)
+@pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
+def test_result_with_several_chunks_per_block_does_not_depend_on_the_number_of_cpus(
+        monkeypatch, test, side):
+    # one chunk, one block of seven, 15 chunks in three blocks and 31 in
+    # five: any thread may compute a chunk's statistic, and every CPU count
+    # gives the one-thread result bit for bit and the oracle's count, while
+    # the calling thread still draws blocks 0, w, 2w, ... with w = min(CPUs,
+    # chunks). More threads than this host may have CPUs, switching every
+    # microsecond
+    design = Design(7, 9)
+    _chunks_per_block(monkeypatch, 300, design)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trials, chunks in ((1, 1), (2048, 7), (4097, 15), (9000, 31)):
+            results = set()
+            for cpus in (1, 2, 3, 8):
+                monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
+                F = _Blocks(normal(0.3, 1.0))
+                plan = SimulationPlan(F, normal(0.0, 1.0), design, side=side, trials=trials,
+                                      seed=trials)
+                results.add(_hex(simulate_power(plan, test)))
+                blocks = range(-(-trials // simulate_mod.BLOCK_TRIALS))
+                assert sorted(F.drawn) == sorted((b, b % min(cpus, chunks) == 0) for b in blocks)
+            assert len(results) == 1
+            assert results.pop()[0] == (_oracle_rejections(plan, test) / trials).hex()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _Chunks:
+    """``spec``'s draws, passed through ``hooks[(block, k)]`` on the k-th draw
+    of a block; only the block's owner draws it, so the count needs no lock."""
+
+    def __init__(self, spec, hooks):
+        self.spec, self.hooks, self.calls = spec, hooks, {}
+
+    def sample(self, rng, size):
+        (block,) = rng.bit_generator.seed_seq.spawn_key
+        k = self.calls[block] = self.calls.get(block, -1) + 1
+        return self.hooks.get((block, k), lambda draws: draws)(self.spec.sample(rng, size))
+
+
+def _no_draws(draws):
+    raise ValueError("no draws")
+
+
+@pytest.mark.parametrize("test", ["t_hom", "t_het"])
+@pytest.mark.parametrize("block,k", [(0, 0), (1, 3), (3, 5)])
+def test_a_statistic_error_comes_before_the_next_chunks_draw_error(monkeypatch, test, block, k):
+    # chunk k's variances overflow and chunk k + 1 cannot be drawn; in one
+    # thread the statistic fails first, so every CPU count raises its error,
+    # whichever thread computes it and whenever the owner reaches the draw
+    design = Design(20, 30)
+    _chunks_per_block(monkeypatch, 300, design)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
+            G = _Chunks(normal(0.0, 1.0), {(block, k): lambda draws: draws * 1e160,
+                                           (block, k + 1): _no_draws})
+            plan = SimulationPlan(normal(0.5, 1.0), G, design, trials=4 * 2048, seed=3)
+            before = threading.active_count()
+            with pytest.raises(ValueError, match="finite normal float"):
+                simulate_power(plan, test)
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("error", [KeyError("no table"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_a_failed_set_up_stops_every_thread(monkeypatch, error, cpus):
+    # the pool threads draw while the calling thread builds the exact table;
+    # the build fails once they have drawn more chunks than the queue holds,
+    # so some thread waits for the threshold with a chunk in hand, and the
+    # same exception comes back with every thread stopped
+    design = Design(7, 9)
+    _chunks_per_block(monkeypatch, 300, design)
+    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
+    helper_draws = threading.Semaphore(0)
+
+    def drawn(draws):
+        if threading.current_thread() is not threading.main_thread():
+            helper_draws.release()
+        return draws
+
+    def build_table(m, n, max_entries):
+        for _ in range(cpus + 1):
+            assert helper_draws.acquire(timeout=60)
+        time.sleep(0.05)
+        raise error
+
+    monkeypatch.setattr(simulate_mod, "build_table", build_table)
+    G = _Chunks(normal(0.0, 1.0), {(block, k): drawn for block in range(4 * cpus)
+                                   for k in range(7)})
+    plan = SimulationPlan(normal(0.3, 1.0), G, design, trials=4 * cpus * 2048)
+    before = threading.active_count()
+    with pytest.raises(type(error)) as raised:
+        simulate_power(plan, "wmw_exact")
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus,trials,threads", [
+    (2, 2048, 1),  # one block of seven chunks: a thread for the second CPU
+    (8, 600, 1),   # two chunks: one thread, however many CPUs
+    (8, 1, 0),     # one chunk: none
+])
+def test_pool_threads_start_for_a_second_row_chunk_and_cpu(monkeypatch, cpus, trials, threads):
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
+    design = Design(7, 9)
+    _chunks_per_block(monkeypatch, 300, design)
+    before = threading.active_count()
+    simulate_power(SimulationPlan(normal(0.3, 1.0), normal(0.0, 1.0), design, trials=trials,
+                                  seed=1))
+    assert len(started) == threads
+    assert threading.active_count() == before
 
 
 class _Pool(simulate_mod.ThreadPoolExecutor):
