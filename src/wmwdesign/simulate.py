@@ -9,16 +9,15 @@ order, so the chunks take exactly the draws of one call.  Each chunk goes in
 one pass to its statistic, critical value and rejection count.
 
 The work runs on w = min(usable CPUs, row chunks) threads, so a plan with one
-row chunk or a one-CPU host starts no thread.  The calling thread draws
-blocks 0, w, 2w, ... and each of w - 1 pool threads another residue class;
-a block's owner makes all of its draws, in order.  Drawn chunks go into one
-queue of at most w; a thread with no draws left computes the oldest queued
-chunk, and an owner that finds the queue full computes the oldest itself.
-The calling thread builds the exact null table while the pool threads draw.
-Memory per running owner is its block's 2048·m draws of X, alive until the
-block's last chunk is computed, plus the queued chunks (at most w, each at
-most MERGE_BUDGET values of Y and a view of X) and one chunk's temporaries
-per thread, about 21 bytes per value of X and Y.
+row chunk or a one-CPU host starts no thread.  Each block's draws are one
+stream behind its own lock.  A thread pulls chunks from its own blocks
+(owner, owner + w, ...; the calling thread is owner 0), then from every
+block in order: it takes the next chunk under the lock and computes that
+chunk's statistic itself, leaving a block only once its stream is exhausted
+or a step has failed.  The calling thread builds the exact null table while
+the pool threads draw.  Memory: at most w blocks' 2048·m draws of X are alive, one
+per thread, plus one row chunk (at most MERGE_BUDGET values of Y and a view
+of X) and its temporaries per thread, about 21 bytes per value of X and Y.
 """
 
 from __future__ import annotations
@@ -157,92 +156,57 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
     full, ragged = divmod(plan.trials, BLOCK_TRIALS)
     workers = min(_usable_cpus(), full * -(-BLOCK_TRIALS // rows) + -(-ragged // rows))
 
-    # Steps are keyed (block, step) in one-thread order: the X draw is step
-    # 0, chunk k's Y draw step 2k + 1 and its statistic step 2k + 2.  A step
-    # runs only below lowest[0], the lowest key known to have failed
-    # ((-1, 0) once interrupted), so no block above the lowest failing one
-    # starts and the lowest key's error is always found.
-    clean = (len(blocks), 0)
-    lowest = [clean]
-    queue = []  # drawn chunks (key, owner, x, y), oldest first, at most `workers`
-    drawing = [workers]  # threads that may still queue a chunk
-    changed = threading.Condition()
+    def draws(block):
+        """The block's row chunks (x, y) in one-thread order: X whole with the
+        first, then Y chunk by chunk; the generator fills in C order, so the
+        chunks take the same draws as one call for all of Y."""
+        rng = _block_rng(plan.seed, block)
+        X = plan.F.sample(rng, (min(BLOCK_TRIALS, plan.trials - block * BLOCK_TRIALS), m))
+        for lo in range(0, len(X), rows):
+            x = X[lo:lo + rows]
+            yield x, plan.G.sample(rng, (len(x), n))
+
+    # Each block's draws are one stream, taken a chunk at a time under the
+    # block's lock.  Steps are keyed (block, step) in one-thread order: chunk
+    # k's draw is step 2k + 1 and its statistic step 2k + 2.  A step runs
+    # only below every key that has failed ((-1, 0) once interrupted), so no
+    # block above the lowest failing one starts.  A thread computes only the
+    # chunks it drew, so every step below the lowest failure still runs and
+    # the lowest key's error is found.
+    streams = [draws(block) for block in blocks]
+    locks = [threading.Lock() for _ in blocks]
+    steps = [1] * len(blocks)  # each block's next draw step
+    errors = []  # (key, error) of each failed step
     ready = threading.Event()  # the set-up below has fixed the test and its threshold
 
-    def fail(key, error, errors):
-        """Record a failed step; no thread runs a step at or above it."""
-        errors.append((key, error))
-        with changed:
-            lowest[0] = min(lowest[0], key)
-            changed.notify_all()
-
-    def chunk_rejections(chunk, errors):
-        """The chunk's rejections, once the threshold is known; 0 if it fails
-        or a lower step has failed."""
-        key, _, x, y = chunk
-        ready.wait()
-        if key >= lowest[0]:
-            return 0
-        try:
-            stat, threshold = statistic(x, y)
-        except Exception as error:
-            fail(key, error, errors)
-            return 0
-        return int(((np.abs(stat) if two_sided else stat) >= threshold).sum())
-
-    def chunks(block, errors):
-        """The block's drawn row chunks in one-thread order, until a step at or
-        above the lowest failed one."""
-        key = (block, 0)
-        if key >= lowest[0]:
-            return
-        try:
-            rng = _block_rng(plan.seed, block)
-            # X whole, then Y row chunk by row chunk: the generator fills in C
-            # order, so the chunks take the same draws as one call for all of Y
-            X = plan.F.sample(rng, (min(BLOCK_TRIALS, plan.trials - block * BLOCK_TRIALS), m))
-            for k, lo in enumerate(range(0, len(X), rows)):
-                key = (block, 2 * k + 1)
-                if key >= lowest[0]:
-                    return
-                x = X[lo:lo + rows]
-                y = plan.G.sample(rng, (len(x), n))
-                yield (block, 2 * k + 2), x, y
-        except Exception as error:
-            fail(key, error, errors)
+    def stopped(key):
+        return any(failed <= key for failed, _ in errors)
 
     def work(owner):
-        """Draw the owner's blocks (owner, owner + workers, ...), then compute
-        queued chunks until no more can come; returns this thread's
-        rejections and its (key, error)s."""
-        count, errors = 0, []
-        for block in blocks[owner::workers]:
-            for key, x, y in chunks(block, errors):
-                chunk = (key, owner, x, y)
-                with changed:
-                    if lowest[0] == clean:
-                        queue.append(chunk)
-                        changed.notify()
-                        if len(queue) <= workers:
-                            continue
-                        chunk = queue.pop(0)  # full: compute the oldest here
-                count += chunk_rejections(chunk, errors)
-        with changed:
-            drawing[0] -= 1
-            changed.notify_all()
-        while True:
-            with changed:
-                while not queue and drawing[0] and lowest[0] == clean:
-                    changed.wait()
-                # after a failure a thread waits for no other owner: it takes
-                # only its own queued chunks, which may come before the
-                # failure in one-thread order, and ends
-                mine = [i for i, chunk in enumerate(queue)
-                        if lowest[0] == clean or chunk[1] == owner]
-                if not mine:
-                    return count, errors
-                chunk = queue.pop(mine[0])
-            count += chunk_rejections(chunk, errors)
+        """Take row chunks from the blocks owner, owner + workers, ..., then
+        from every block in order, leaving a block once it is exhausted or at
+        the lowest failure, and stopping at this thread's own failure; returns
+        the rejections of the chunks this thread drew."""
+        count = 0
+        for block in (*blocks[owner::workers], *blocks):
+            while True:
+                try:
+                    with locks[block]:
+                        key = (block, steps[block])
+                        if stopped(key) or (chunk := next(streams[block], None)) is None:
+                            break
+                        steps[block] += 2
+                    key = (block, key[1] + 1)
+                    ready.wait()
+                    if stopped(key):
+                        break
+                    stat, threshold = statistic(*chunk)
+                except Exception as error:
+                    errors.append((key, error))
+                    return count
+                del chunk  # an exhausted block's X goes before the next block's comes
+                count += int(((np.abs(stat) if two_sided else stat) >= threshold).sum())
+        return count
 
     # pool threads start only on submit: one worker starts none.  They draw
     # while the calling thread builds the exact table, and their statistics
@@ -266,19 +230,15 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
             elif test == "t_hom":
                 crit = special.stdtrit(m + n - 2, level)
             ready.set()
-            shares = [work(0)] + [helper.result() for helper in helpers]
+            rejections = work(0) + sum(helper.result() for helper in helpers)
         except BaseException:
             # a failed set-up or an interrupt: every thread stops at its next step
-            with changed:
-                lowest[0] = (-1, 0)
-                changed.notify_all()
+            errors.append(((-1, 0), None))
             ready.set()
             raise
-    errors = [error for _, share_errors in shares for error in share_errors]
     if errors:
         # the error a one-thread run raises: the lowest step's
         raise min(errors, key=lambda error: error[0])[1]
-    rejections = sum(count for count, _ in shares)
 
     rate = rejections / plan.trials
     se = math.sqrt(rate * (1.0 - rate) / plan.trials)

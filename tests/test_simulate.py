@@ -303,15 +303,15 @@ def test_simulate_power_block_memory_is_x_plus_a_fixed_workspace(monkeypatch, te
 
 
 class _Blocks:
-    """``spec``'s draws; records which block each X draw serves and whether
-    the calling thread made it, after running ``before[block]()`` if given."""
+    """``spec``'s draws; records which block each X draw serves, after
+    running ``before[block]()`` if given."""
 
     def __init__(self, spec, before=()):
         self.spec, self.before, self.drawn = spec, dict(before), []
 
     def sample(self, rng, size):
         (block,) = rng.bit_generator.seed_seq.spawn_key
-        self.drawn.append((block, threading.current_thread() is threading.main_thread()))
+        self.drawn.append(block)
         if block in self.before:
             self.before[block]()
         return self.spec.sample(rng, size)
@@ -333,7 +333,7 @@ def _hex(result):
 def test_result_does_not_depend_on_the_number_of_cpus(monkeypatch, test, side):
     # one block, two full ones, two and a one-trial block, and five with a
     # ragged last one: every CPU count gives the one-thread result bit for
-    # bit, the oracle's count, and the calling thread draws blocks 0, w, 2w, ...
+    # bit and the oracle's count, and draws every block's X exactly once
     for trials in (1, 2048, 4097, 9000):
         results = set()
         for cpus in (1, 2, 3, 8):
@@ -342,8 +342,7 @@ def test_result_does_not_depend_on_the_number_of_cpus(monkeypatch, test, side):
             plan = SimulationPlan(F, normal(0.0, 1.0), Design(7, 9), side=side, trials=trials,
                                   seed=trials)
             results.add(_hex(simulate_power(plan, test)))
-            blocks = range(-(-trials // simulate_mod.BLOCK_TRIALS))
-            assert sorted(F.drawn) == sorted((b, b % min(cpus, len(blocks)) == 0) for b in blocks)
+            assert sorted(F.drawn) == list(range(-(-trials // simulate_mod.BLOCK_TRIALS)))
         assert len(results) == 1
         assert results.pop()[0] == (_oracle_rejections(plan, test) / trials).hex()
 
@@ -381,7 +380,17 @@ def test_errors_do_not_depend_on_the_number_of_cpus(monkeypatch, tests, fails, s
         sys.setswitchinterval(interval)
 
 
-def test_pool_threads_start_only_for_a_second_block_and_cpu(monkeypatch):
+@pytest.mark.parametrize("cpus,trials,rows,threads", [
+    (8, 2048, None, 0),  # one block of one chunk: none, however many CPUs
+    (1, 9000, None, 0),  # one CPU: none, however many blocks
+    (3, 4097, None, 2),  # three blocks on three CPUs: two
+    (2, 9000, None, 1),  # five blocks on two CPUs: one
+    (2, 2048, 300, 1),   # one block of seven chunks: a thread for the second CPU
+    (8, 600, 300, 1),    # two chunks: one thread, however many CPUs
+    (8, 1, 300, 0),      # one chunk: none
+])
+def test_pool_threads_start_for_a_second_row_chunk_and_cpu(monkeypatch, cpus, trials, rows,
+                                                            threads):
     started = []
     start = threading.Thread.start
 
@@ -390,14 +399,15 @@ def test_pool_threads_start_only_for_a_second_block_and_cpu(monkeypatch):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
-    for cpus, trials, threads in ((8, 2048, 0), (1, 9000, 0), (3, 4097, 2), (2, 9000, 1)):
-        monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
-        before = threading.active_count()
-        started.clear()
-        simulate_power(SimulationPlan(normal(0.3, 1.0), normal(0.0, 1.0), Design(7, 9),
-                                      trials=trials, seed=1))
-        assert len(started) == threads
-        assert threading.active_count() == before
+    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
+    design = Design(7, 9)
+    if rows is not None:
+        _chunks_per_block(monkeypatch, rows, design)
+    before = threading.active_count()
+    simulate_power(SimulationPlan(normal(0.3, 1.0), normal(0.0, 1.0), design, trials=trials,
+                                  seed=1))
+    assert len(started) == threads
+    assert threading.active_count() == before
 
 
 def _chunks_per_block(monkeypatch, rows, design):
@@ -410,17 +420,16 @@ def _chunks_per_block(monkeypatch, rows, design):
 def test_result_with_several_chunks_per_block_does_not_depend_on_the_number_of_cpus(
         monkeypatch, test, side):
     # one chunk, one block of seven, 15 chunks in three blocks and 31 in
-    # five: any thread may compute a chunk's statistic, and every CPU count
-    # gives the one-thread result bit for bit and the oracle's count, while
-    # the calling thread still draws blocks 0, w, 2w, ... with w = min(CPUs,
-    # chunks). More threads than this host may have CPUs, switching every
-    # microsecond
+    # five: any thread may draw a block's next chunk, and every CPU count
+    # gives the one-thread result bit for bit and the oracle's count, and
+    # draws every block's X exactly once. More threads than this host may
+    # have CPUs, switching every microsecond
     design = Design(7, 9)
     _chunks_per_block(monkeypatch, 300, design)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for trials, chunks in ((1, 1), (2048, 7), (4097, 15), (9000, 31)):
+        for trials in (1, 2048, 4097, 9000):
             results = set()
             for cpus in (1, 2, 3, 8):
                 monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
@@ -428,8 +437,7 @@ def test_result_with_several_chunks_per_block_does_not_depend_on_the_number_of_c
                 plan = SimulationPlan(F, normal(0.0, 1.0), design, side=side, trials=trials,
                                       seed=trials)
                 results.add(_hex(simulate_power(plan, test)))
-                blocks = range(-(-trials // simulate_mod.BLOCK_TRIALS))
-                assert sorted(F.drawn) == sorted((b, b % min(cpus, chunks) == 0) for b in blocks)
+                assert sorted(F.drawn) == list(range(-(-trials // simulate_mod.BLOCK_TRIALS)))
             assert len(results) == 1
             assert results.pop()[0] == (_oracle_rejections(plan, test) / trials).hex()
     finally:
@@ -438,7 +446,8 @@ def test_result_with_several_chunks_per_block_does_not_depend_on_the_number_of_c
 
 class _Chunks:
     """``spec``'s draws, passed through ``hooks[(block, k)]`` on the k-th draw
-    of a block; only the block's owner draws it, so the count needs no lock."""
+    of a block; a block's draws are made under its lock, so the count needs
+    no lock of its own."""
 
     def __init__(self, spec, hooks):
         self.spec, self.hooks, self.calls = spec, hooks, {}
@@ -458,7 +467,7 @@ def _no_draws(draws):
 def test_a_statistic_error_comes_before_the_next_chunks_draw_error(monkeypatch, test, block, k):
     # chunk k's variances overflow and chunk k + 1 cannot be drawn; in one
     # thread the statistic fails first, so every CPU count raises its error,
-    # whichever thread computes it and whenever the owner reaches the draw
+    # whichever threads draw the two chunks and whichever fails first
     design = Design(20, 30)
     _chunks_per_block(monkeypatch, 300, design)
     interval = sys.getswitchinterval()
@@ -482,9 +491,9 @@ def test_a_statistic_error_comes_before_the_next_chunks_draw_error(monkeypatch, 
 @pytest.mark.parametrize("cpus", [2, 3, 8])
 def test_a_failed_set_up_stops_every_thread(monkeypatch, error, cpus):
     # the pool threads draw while the calling thread builds the exact table;
-    # the build fails once they have drawn more chunks than the queue holds,
-    # so some thread waits for the threshold with a chunk in hand, and the
-    # same exception comes back with every thread stopped
+    # the build fails once each has drawn a chunk and waits for the
+    # threshold with it in hand, and the same exception comes back with
+    # every thread stopped
     design = Design(7, 9)
     _chunks_per_block(monkeypatch, 300, design)
     monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
@@ -496,7 +505,7 @@ def test_a_failed_set_up_stops_every_thread(monkeypatch, error, cpus):
         return draws
 
     def build_table(m, n, max_entries):
-        for _ in range(cpus + 1):
+        for _ in range(cpus - 1):
             assert helper_draws.acquire(timeout=60)
         time.sleep(0.05)
         raise error
@@ -512,28 +521,34 @@ def test_a_failed_set_up_stops_every_thread(monkeypatch, error, cpus):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("cpus,trials,threads", [
-    (2, 2048, 1),  # one block of seven chunks: a thread for the second CPU
-    (8, 600, 1),   # two chunks: one thread, however many CPUs
-    (8, 1, 0),     # one chunk: none
-])
-def test_pool_threads_start_for_a_second_row_chunk_and_cpu(monkeypatch, cpus, trials, threads):
-    started = []
-    start = threading.Thread.start
-
-    def counted_start(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", counted_start)
-    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_each_thread_holds_at_most_one_drawn_row_chunk(monkeypatch, cpus):
+    # four blocks of seven 300-row chunks and a slowed U kernel, so drawing
+    # could run ahead of computing: the chunks drawn and not yet computed
+    # never outnumber the threads
     design = Design(7, 9)
     _chunks_per_block(monkeypatch, 300, design)
-    before = threading.active_count()
-    simulate_power(SimulationPlan(normal(0.3, 1.0), normal(0.0, 1.0), design, trials=trials,
-                                  seed=1))
-    assert len(started) == threads
-    assert threading.active_count() == before
+    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
+    lock, held = threading.Lock(), [0, 0]  # chunks held now, most held at once
+
+    def drawn(draws):
+        with lock:
+            held[0] += 1
+            held[1] = max(held)
+        return draws
+
+    def u_matrix(X, Y, u_matrix=simulate_mod._u_matrix):
+        time.sleep(0.002)
+        U = u_matrix(X, Y)
+        with lock:
+            held[0] -= 1
+        return U
+
+    monkeypatch.setattr(simulate_mod, "_u_matrix", u_matrix)
+    G = _Chunks(normal(0.0, 1.0), {(block, k): drawn for block in range(4) for k in range(7)})
+    simulate_power(SimulationPlan(normal(0.3, 1.0), G, design, trials=4 * 2048), "wmw_normal")
+    assert held[0] == 0
+    assert held[1] <= cpus
 
 
 class _Pool(simulate_mod.ThreadPoolExecutor):
@@ -600,7 +615,7 @@ def test_no_block_starts_after_a_lower_one_fails(monkeypatch, hooks, error, mess
     F = _Blocks(normal(0.3, 1.0), hooks())
     with pytest.raises(error, match=message):
         simulate_power(SimulationPlan(F, normal(0.0, 1.0), Design(7, 9), trials=6 * 2048))
-    assert sorted(F.drawn) == [(block, block % 2 == 0) for block in drawn]
+    assert sorted(F.drawn) == drawn
 
 
 def test_usable_cpus_is_the_affinity_set_or_the_cpu_count(monkeypatch):
