@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .distributions import DistributionSpec
 from .moments import Design, _check_total
-from .power import ONE_SIDED_UPPER, _deficiency_search, _grid, wmw_power_at
+from .power import ONE_SIDED_UPPER, _deficiency_search, _grid, _wmw_powers, wmw_power_at
 from .power import wmw_power  # noqa: F401  kept as design.wmw_power for perfbench/spans.py
 
 
@@ -41,7 +41,8 @@ def optimal_design(F: DistributionSpec, G: DistributionSpec, total_n: int,
     best = max(curve, key=lambda p: (p.power, -abs(p.omega - 0.5), -p.m))
     deficiency = None
     if compute_deficiency:
-        deficiency = _deficiency_search(power_at, total_n, 0.5, best.power)
+        deficiency = _deficiency_search(_wmw_powers(F, G, alpha, side), total_n, 0.5,
+                                        best.power)
     return DesignReport(optimal=Design(best.m, best.n), optimal_power=best.power,
                         power_curve=tuple(curve), deficiency_at_half=deficiency, epsilon=epsilon)
 

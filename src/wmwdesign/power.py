@@ -9,6 +9,7 @@ import numpy as np
 from scipy import special
 
 from .distributions import DistributionSpec
+from .exceedance import RESULT_TOL, second_moment_integrals
 from .moments import (ConfigurationError, Design, MomentSummary, _check_omega, _check_total,
                       alt_moments)
 
@@ -21,6 +22,12 @@ MIN_GROUP_SIZE = 7
 
 # the deficiency search gives up above this multiple of the starting total
 CAP_FACTOR = 20
+
+# the deficiency search evaluates its totals in chunks: the first is small,
+# since most searches stop within a few totals of N, and each next one is
+# twice as long up to a cap that bounds the search's memory whatever N is
+FIRST_CHUNK = 64
+MAX_CHUNK = 4096
 
 
 class AllocationSearchError(RuntimeError):
@@ -117,6 +124,51 @@ def wmw_power_at(F: DistributionSpec, G: DistributionSpec, alpha: float = 0.05,
     return power_at
 
 
+def _wmw_powers(F: DistributionSpec, G: DistributionSpec, alpha: float = 0.05,
+                side: str = ONE_SIDED_UPPER):
+    """The function (m, n) -> approximate WMW powers at the designs m[i]/n[i] (int arrays).
+
+    Checks alpha and side, and computes the critical values, once for all
+    designs; the integrals come from ``second_moment_integrals``' cache at
+    each call.  Every power is bitwise equal to ``wmw_power_at``'s at that
+    design: the same float operations in the same order, with
+    ``special.ndtr``, which ``stats.norm.cdf`` calls.  The products mn(N + 1)
+    and mn(3N - 5) are exact before their one rounding to float, in Python
+    ints wherever int64 could wrap (mn(3N - 5) < 3N³/4).
+    """
+    crit = _critical_values(alpha, side)
+    two_sided = side == TWO_SIDED
+
+    def normal_power(mu, sigma):
+        if two_sided:
+            lower, upper = crit
+            return special.ndtr((lower - mu) / sigma) - special.ndtr((upper - mu) / sigma) + 1.0
+        return 1.0 - special.ndtr((crit - mu) / sigma)
+
+    def powers(m, n) -> np.ndarray:
+        if F == G:  # alt_moments' null case: mu_n = 0, sigma2_n = 1
+            return np.full(len(m), float(normal_power(0.0, 1.0)))
+        s = second_moment_integrals(F, G)
+        p, i1, i2 = s.p_x_ge_y, s.int_g2_f, s.int_1mf2_g
+        if 3 * int((m + n).max(initial=0)) ** 3 >= 2 ** 65:
+            m, n = m.astype(object), n.astype(object)
+        total, mn = m + n, m * n
+        fmn = mn.astype(float)
+        var0 = (mn * (total + 1)).astype(float) / 12.0
+        var1 = fmn * (p - (total - 1).astype(float) * p * p + (n - 1).astype(float) * i1
+                      + (m - 1).astype(float) * i2)
+        # alt_moments' clamp: a var1 within the integrals' error band is zero
+        var1[var1 <= (mn * (3 * total - 5)).astype(float) * RESULT_TOL] = 0.0
+        mu, sigma2 = (fmn * p - fmn / 2.0) / np.sqrt(var0), var1 / var0
+        degenerate = sigma2 <= 0.0
+        # all mass of U on one side: wmw_power's rule for the degenerate normal approximation
+        one_sided_mass = (mu > 0) | (two_sided & (mu != 0))
+        return np.where(degenerate, one_sided_mass.astype(float),
+                        normal_power(mu, np.sqrt(np.where(degenerate, 1.0, sigma2))))
+
+    return powers
+
+
 def _grid(total_n: int, epsilon: float, smallest: int = 1) -> list[Design]:
     """The designs m/(N - m) with epsilon <= m/N <= 1-epsilon and both groups >= smallest.
 
@@ -134,21 +186,61 @@ def _grid(total_n: int, epsilon: float, smallest: int = 1) -> list[Design]:
     return [Design(m, total_n - m) for m in range(lo, hi + 1)]
 
 
-def _deficiency_search(power_at, total_n: int, omega: float, target: float) -> float:
+def _group_sizes(designs: list[Design]) -> tuple[np.ndarray, np.ndarray]:
+    """The int arrays m and n of a list of designs."""
+    return np.array([d.m for d in designs]), np.array([d.n for d in designs])
+
+
+def _first_reaching(powers, m, n, target: float) -> int | None:
+    """Index of the first design m[i]/n[i] whose power reaches target, or None.
+
+    A ValueError from ``powers`` is raised as a walk over the designs one at
+    a time raises it: for the first design that fails, and only if no design
+    before it reaches the target.  A failing chunk is split in halves until
+    that design is evaluated alone.
+    """
+    try:
+        reached = np.flatnonzero(powers(m, n) >= target - 1e-12)
+    except ValueError:
+        if len(m) == 1:
+            raise
+    else:
+        return int(reached[0]) if len(reached) else None
+    # outside the handler, so the error raised at last carries no chain of its copies
+    half = len(m) // 2
+    first = _first_reaching(powers, m[:half], n[:half], target)
+    if first is not None:
+        return first
+    rest = _first_reaching(powers, m[half:], n[half:], target)
+    return None if rest is None else half + rest
+
+
+def _deficiency_search(powers, total_n: int, omega: float, target: float) -> float:
     """Smallest D >= 0 with power(omega, N(1+D)) >= target, over integer totals.
 
+    ``powers`` maps int arrays m, n to the powers of the designs m[i]/n[i].
     Each total t in [N, CAP_FACTOR * N] is split as m = round(omega * t),
-    n = t - m, with halves rounded to even (Python's ``round``): at omega = 1/2
-    a total of 51 splits 26/25 and a total of 53 splits 26/27.  The paper does
-    not say which group gets the odd subject; this rule is the package's
-    choice, and the deficiency can depend on it (for normal(0.75, 0.5) vs
-    normal(0, 1) at N = 50 it gives 0.04, the opposite split 0.02).  Callers
-    check omega in (0, 1) before they scan their grid for the target.
+    n = t - m, with halves rounded to even (``np.round``, as Python's
+    ``round``): at omega = 1/2 a total of 51 splits 26/25 and a total of 53
+    splits 26/27.  The paper does not say which group gets the odd subject;
+    this rule is the package's choice, and the deficiency can depend on it
+    (for normal(0.75, 0.5) vs normal(0, 1) at N = 50 it gives 0.04, the
+    opposite split 0.02).  Totals that leave a group empty are skipped.  The
+    totals are evaluated in chunks of FIRST_CHUNK, then twice as many, up to
+    MAX_CHUNK; the answer is the first total that reaches the target, as in a
+    walk one total at a time.  Callers check omega in (0, 1) before they scan
+    their grid for the target.
     """
-    for t in range(total_n, CAP_FACTOR * total_n + 1):
-        m = int(round(omega * t))
-        if 1 <= m < t and power_at(Design(m, t - m)) >= target - 1e-12:
-            return t / total_n - 1.0
+    last, start, size = CAP_FACTOR * total_n, total_n, FIRST_CHUNK
+    while start <= last:
+        t = np.arange(start, min(start + size, last + 1))
+        m = np.round(omega * t).astype(np.int64)
+        split = (m >= 1) & (m < t)
+        t, m = t[split], m[split]
+        first = _first_reaching(powers, m, t - m, target) if len(t) else None
+        if first is not None:
+            return int(t[first]) / total_n - 1.0
+        start, size = start + size, min(2 * size, MAX_CHUNK)
     raise AllocationSearchError(
         f"no total sample size up to {CAP_FACTOR}x reaches the optimal power"
     )
@@ -160,14 +252,14 @@ def deficiency_general(F: DistributionSpec, G: DistributionSpec, total_n: int,
     """Extra total sample size fraction needed at allocation omega to match the optimum.
 
     The optimum is the best power over the allocation grid of ``optimal_design``
-    at ``total_n``.  Larger totals are searched one at a time and split as
-    ``_deficiency_search`` documents: m = round(omega * t) with halves rounded
-    to even, a choice the paper leaves open.
+    at ``total_n``, taken in one array pass.  Larger totals are searched in
+    chunks and split as ``_deficiency_search`` documents: m = round(omega * t)
+    with halves rounded to even, a choice the paper leaves open.
     """
     _check_omega(omega)
-    power_at = wmw_power_at(F, G, alpha, side)
-    target = max(map(power_at, _grid(total_n, epsilon)))
-    return _deficiency_search(power_at, total_n, omega, target)
+    powers = _wmw_powers(F, G, alpha, side)
+    target = float(powers(*_group_sizes(_grid(total_n, epsilon))).max())
+    return _deficiency_search(powers, total_n, omega, target)
 
 
 # -- Welch t-test baseline ----------------------------------------------
@@ -253,10 +345,8 @@ def welch_deficiency(mu1: float, sd1: float, mu2: float, sd2: float, total_n: in
     """
     _check_omega(omega)
     grid = _grid(total_n, epsilon, smallest=2)
-    powers, _ = _welch_powers(mu1, sd1, mu2, sd2, np.array([d.m for d in grid]),
-                              np.array([d.n for d in grid]), alpha, side)
 
-    def power_at(d: Design) -> float:
-        return welch_power(mu1, sd1, mu2, sd2, d, alpha, side).approx_power
+    def powers(m, n) -> np.ndarray:
+        return _welch_powers(mu1, sd1, mu2, sd2, m, n, alpha, side)[0]
 
-    return _deficiency_search(power_at, total_n, omega, float(powers.max()))
+    return _deficiency_search(powers, total_n, omega, float(powers(*_group_sizes(grid)).max()))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -30,7 +31,8 @@ from wmwdesign import (
     wmw_power,
 )
 from wmwdesign import power as power_mod
-from wmwdesign.power import _critical_values, _welch_powers, wmw_power_at
+from wmwdesign.power import (_critical_values, _deficiency_search, _grid, _welch_powers,
+                             _wmw_powers, wmw_power_at)
 from wmwdesign.scenarios import SCENARIOS
 
 CATALOGUE_PAIRS = list(dict.fromkeys((s.F, s.G) for group in SCENARIOS.values() for s in group))
@@ -363,6 +365,132 @@ def test_welch_powers_on_an_array_of_designs_match_welch_power_bitwise():
 def test_welch_powers_name_the_first_design_whose_se2_is_not_finite(sd, m, n, first):
     with pytest.raises(ValueError, match=re.escape(first)):
         _welch_powers(0.5, sd, 0.0, sd, np.array(m), np.array(n), 0.05, "one_sided_upper")
+
+
+# the WMW pairs of the array tests: the catalogue, F == G, and both orders of
+# a pair whose U sits at mn or at 0 (degenerate variance)
+DEGENERATE_PAIRS = [(exponential(1.0, shift=100.0), exponential(1.0)),
+                    (exponential(1.0), exponential(1.0, shift=100.0))]
+ARRAY_PAIRS = CATALOGUE_PAIRS + [(normal(0, 1), normal(0, 1))] + DEGENERATE_PAIRS
+
+
+@pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
+def test_wmw_powers_match_the_scalar_closure_bitwise(side):
+    rng = np.random.default_rng(23)
+    m = np.concatenate([[1, 1, 2, 6, 25, 150], rng.integers(1, 400, 60)])
+    n = np.concatenate([[1, 6, 2, 1, 25, 300], rng.integers(1, 400, 60)])
+    mismatches = []
+    for (F, G), alpha in itertools.product(ARRAY_PAIRS, [1e-6, 0.05, 0.5]):
+        power_at = wmw_power_at(F, G, alpha, side)
+        got = _wmw_powers(F, G, alpha, side)(m, n)
+        want = [power_at(Design(a, b)) for a, b in zip(m.tolist(), n.tolist())]
+        if [g.hex() for g in got.tolist()] != [w.hex() for w in want]:
+            mismatches.append((F, G, alpha))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
+def test_wmw_powers_take_exact_integer_products_at_large_designs(side):
+    # mn(m + n + 1) passes 2^63 at groups of about 2^21; int64 products wrapped
+    # and gave 0.9998 two-sided at 4194304/4194304, where the scalar path gives 0.2933
+    sizes = [10 ** 5, 2 ** 22, 12_345_679, 6 * 10 ** 7]
+    m, n = (np.array(a) for a in zip(*itertools.product(sizes, sizes)))
+    m, n = np.append(m, [2 ** 22 + 1, 999_983]), np.append(n, [2 ** 22 - 1, 31_415_926])
+    assert any(int(a) * int(b) * (int(a) + int(b) + 1) != int(w) for a, b, w in
+               zip(m, n, m * n * (m + n + 1)))  # int64 wraps at these designs
+    for F, G in [(normal(0.001, 1), normal(0, 1)), (normal(0, 1.0001), normal(0, 1))]:
+        power_at = wmw_power_at(F, G, 0.05, side)
+        got = _wmw_powers(F, G, 0.05, side)(m, n)
+        want = [power_at(Design(a, b)) for a, b in zip(m.tolist(), n.tolist())]
+        assert [g.hex() for g in got.tolist()] == [w.hex() for w in want]
+
+
+def test_deficiency_search_memory_does_not_grow_with_n():
+    # an unreachable target walks every total up to 20 N; the chunks are
+    # capped, so the peak is the same at 1.9 and at 0.38 million totals
+    powers = _wmw_powers(normal(0.75, 1), normal(0, 1), 0.05, TWO_SIDED)
+    powers(np.array([3]), np.array([4]))  # integrals cached before the measurement
+    peaks = []
+    for total_n in (20_000, 100_000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(AllocationSearchError):
+                _deficiency_search(powers, total_n, 0.5, 2.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2 ** 20
+    assert abs(peaks[1] - peaks[0]) < 2 ** 16
+
+
+def _walked_deficiency(power_at, total_n, omega, target):
+    """The deficiency search as a walk over the totals, one design at a time:
+    the oracle of the chunked search, which must return and raise what it does."""
+    for t in range(total_n, 20 * total_n + 1):
+        m = int(round(omega * t))
+        if 1 <= m < t and power_at(Design(m, t - m)) >= target - 1e-12:
+            return t / total_n - 1.0
+    raise AllocationSearchError("no total sample size up to 20x reaches the optimal power")
+
+
+def _outcome(call):
+    """A float result as hex, or the type and message of the error raised."""
+    try:
+        return call().hex()
+    except (AllocationSearchError, ValueError) as error:
+        return type(error).__name__, str(error)
+
+
+# sds whose squares are a few subnormal units: se2 underflows to 0 in large groups
+SUBNORMAL_2, SUBNORMAL_20 = (2 * 4.94e-324) ** 0.5, (20 * 4.94e-324) ** 0.5
+WELCH_CASES = [(0.75, 1.0, 1.0), (0.75, 3.0, 1.0), (0.5, 0.5, 2.0), (3.0, 1.0, 1.0),
+               (-0.5, 1.0, 1.0), (0.5 * SUBNORMAL_20, SUBNORMAL_20, SUBNORMAL_20),
+               (0.5 * SUBNORMAL_2, SUBNORMAL_2, 2 * SUBNORMAL_2)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(baseline=st.sampled_from(["wmw", "welch"]),
+       pair=st.sampled_from(ARRAY_PAIRS), welch=st.sampled_from(WELCH_CASES),
+       side=st.sampled_from(["one_sided_upper", TWO_SIDED]),
+       total_n=st.one_of(st.integers(2, 300), st.integers(1, 149).map(lambda k: 2 * k + 1)),
+       omega=st.one_of(st.floats(0.001, 0.05), st.floats(0.95, 0.999), st.floats(0.05, 0.95)))
+def test_chunked_deficiency_search_matches_the_walk(baseline, pair, welch, side, total_n, omega):
+    if baseline == "wmw":
+        F, G = pair
+        power_at = wmw_power_at(F, G, 0.05, side)
+        target = max(map(power_at, _grid(total_n, 0.1)))
+        want = _outcome(lambda: _walked_deficiency(power_at, total_n, omega, target))
+        assert _outcome(lambda: deficiency_general(F, G, total_n, omega, side=side)) == want
+        best = optimal_design(F, G, total_n, side=side, compute_deficiency=False).optimal_power
+        want = _outcome(lambda: _walked_deficiency(power_at, total_n, 0.5, best))
+        got = _outcome(lambda: optimal_design(F, G, total_n, side=side).deficiency_at_half)
+        assert got == want
+    else:
+        mu1, sd1, sd2 = welch
+
+        def power_at(d):
+            return welch_power(mu1, sd1, 0.0, sd2, d, side=side).approx_power
+
+        want = _outcome(lambda: _walked_deficiency(
+            power_at, total_n, omega, max(map(power_at, _grid(total_n, 0.1, smallest=2)))))
+        assert _outcome(lambda: welch_deficiency(mu1, sd1, 0.0, sd2, total_n, omega,
+                                                 side=side)) == want
+
+
+def test_welch_deficiency_raises_in_walk_order():
+    # the first chunk of totals 20..83 holds 40/40, whose se2 underflows to 0;
+    # the walk stops at 10/10, before it, and so must the chunked search
+    s = SUBNORMAL_20
+    assert welch_deficiency(0.5 * s, s, 0.0, s, 20, 0.5) == 0.0
+    with pytest.raises(ValueError, match=re.escape("at m=40, n=40 give se2=0.0")):
+        _welch_powers(0.5 * s, s, 0.0, s, np.array([10, 40]), np.array([10, 40]), 0.05,
+                      "one_sided_upper")
+    # here the bad design 4/31 comes before any total that reaches the target,
+    # and the walk's own error, naming it, is raised with no chain of copies
+    s = SUBNORMAL_2
+    with pytest.raises(ValueError, match=re.escape("at m=4, n=31 give se2=0.0")) as info:
+        welch_deficiency(0.5 * s, s, 0.0, 2 * s, 10, 0.1)
+    assert info.value.__context__ is None
 
 
 def test_welch_two_sided_power_is_finite_at_large_noncentrality():
