@@ -91,7 +91,7 @@ def alt_moments(d: Design, F: DistributionSpec, G: DistributionSpec) -> MomentSu
     mn = m * n
     e0, var0 = null_moments(d)
 
-    if F == G:
+    if F == G:  # the null case, which power._wmw_powers repeats
         return MomentSummary(e0=e0, var0=var0, e1=e0, var1=var0, mu_n=0.0, sigma2_n=1.0)
 
     s = second_moment_integrals(F, G)
@@ -102,6 +102,7 @@ def alt_moments(d: Design, F: DistributionSpec, G: DistributionSpec) -> MomentSu
     # For p in [0, 1], sum |d var1 / d(p, i1, i2)| <= mn(3N - 5), so integral
     # errors within RESULT_TOL move var1 by at most mn(3N - 5) RESULT_TOL.  A
     # var1 inside that band is zero to the contract, in either pair order.
+    # power._wmw_powers repeats this clamp on arrays, bitwise in step with it.
     clamped = var1 <= mn * (3 * (m + n) - 5) * RESULT_TOL
     if clamped:
         var1 = 0.0

@@ -478,7 +478,7 @@ def test_chunked_deficiency_search_matches_the_walk(baseline, pair, welch, side,
 
 
 def test_welch_deficiency_raises_in_walk_order():
-    # the first chunk of totals 20..83 holds 40/40, whose se2 underflows to 0;
+    # the first chunk of totals, 20..275, holds 40/40, whose se2 underflows to 0;
     # the walk stops at 10/10, before it, and so must the chunked search
     s = SUBNORMAL_20
     assert welch_deficiency(0.5 * s, s, 0.0, s, 20, 0.5) == 0.0
@@ -578,6 +578,18 @@ def test_deficiency_searches_reject_omega_before_evaluating_a_design(monkeypatch
         deficiency_general(normal(0.75, 1), normal(0, 1), 4000, omega)
     with pytest.raises(ValueError, match="omega must be in"):
         welch_deficiency(0.75, 1.0, 0.0, 1.0, 4000, omega)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1.5])
+def test_wmw_deficiency_rejects_omega_before_taking_the_integrals(monkeypatch, omega):
+    # deficiency_general's grid pass and search evaluate designs as arrays,
+    # without alt_moments; both take the integrals from the moments module
+    def evaluated(*args):
+        raise AssertionError("a design's power was evaluated")
+
+    monkeypatch.setattr(power_mod.moments, "second_moment_integrals", evaluated)
+    with pytest.raises(ValueError, match="omega must be in"):
+        deficiency_general(normal(0.75, 1), normal(0, 1), 4000, omega)
 
 
 @pytest.mark.parametrize("epsilon", [float("inf"), float("-inf"), float("nan"), -0.5, -1e-300])
