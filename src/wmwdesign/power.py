@@ -154,7 +154,8 @@ def _wmw_powers(F: DistributionSpec, G: DistributionSpec, alpha: float = 0.05,
             return np.full(len(m), float(normal_power(0.0, 1.0)))
         s = moments.second_moment_integrals(F, G)
         p, i1, i2 = s.p_x_ge_y, s.int_g2_f, s.int_1mf2_g
-        if 3 * int((m + n).max(initial=0)) ** 3 >= 2 ** 65:
+        # bounds the largest total from above in Python ints: m + n itself can wrap int64
+        if 3 * (int(m.max(initial=0)) + int(n.max(initial=0))) ** 3 >= 2 ** 65:
             m, n = m.astype(object), n.astype(object)
         total, mn = m + n, m * n
         fmn = mn.astype(float)
@@ -192,8 +193,16 @@ def _grid(total_n: int, epsilon: float, smallest: int = 1) -> list[Design]:
 
 
 def _group_sizes(designs: list[Design]) -> tuple[np.ndarray, np.ndarray]:
-    """The int arrays m and n of a list of designs."""
-    return np.array([d.m for d in designs]), np.array([d.n for d in designs])
+    """The int64 arrays m and n of a list of designs, an empty list included.
+
+    A group size past int64 makes both object arrays of Python ints, so every
+    size reaches ``_wmw_powers``' products as an exact integer, never a float.
+    """
+    m, n = [d.m for d in designs], [d.n for d in designs]
+    try:
+        return np.array(m, dtype=np.int64), np.array(n, dtype=np.int64)
+    except OverflowError:
+        return np.array(m, dtype=object), np.array(n, dtype=object)
 
 
 def _first_reaching(powers, m, n, target: float) -> int | None:

@@ -30,9 +30,10 @@ from wmwdesign import (
     welch_power,
     wmw_power,
 )
+from wmwdesign import moments
 from wmwdesign import power as power_mod
-from wmwdesign.power import (_critical_values, _deficiency_search, _grid, _welch_powers,
-                             _wmw_powers, wmw_power_at)
+from wmwdesign.power import (_critical_values, _deficiency_search, _grid, _group_sizes,
+                             _welch_powers, _wmw_powers, wmw_power_at)
 from wmwdesign.scenarios import SCENARIOS
 
 CATALOGUE_PAIRS = list(dict.fromkeys((s.F, s.G) for group in SCENARIOS.values() for s in group))
@@ -403,6 +404,78 @@ def test_wmw_powers_take_exact_integer_products_at_large_designs(side):
         got = _wmw_powers(F, G, 0.05, side)(m, n)
         want = [power_at(Design(a, b)) for a, b in zip(m.tolist(), n.tolist())]
         assert [g.hex() for g in got.tolist()] == [w.hex() for w in want]
+
+
+def test_wmw_powers_take_exact_products_where_the_total_passes_int64():
+    # m and n fit in int64 but m + n does not, so the sum wraps negative if
+    # taken in int64; the scalar path gives 0.315 at the first design.  These
+    # designs stand alone: beside a design with a positive total past 2.3e6 the
+    # products take Python ints whatever the wrapped sums read
+    F, G = normal(1e-9, 1), normal(0, 1)
+    m, n = np.array([2 ** 62, 2 ** 62 - 1]), np.array([2 ** 62 + 6, 2 ** 62 + 2])
+    for side in ("one_sided_upper", TWO_SIDED):
+        power_at = wmw_power_at(F, G, 0.05, side)
+        got = _wmw_powers(F, G, 0.05, side)(m, n)
+        want = [power_at(Design(a, b)) for a, b in zip(m.tolist(), n.tolist())]
+        assert [g.hex() for g in got.tolist()] == [w.hex() for w in want]
+        assert all(0.05 < w < 0.9 for w in want)
+
+
+def test_group_sizes_are_exact_ints_for_every_list():
+    for designs in ([], [Design(3, 4)], [Design(np.int64(3), 4), Design(1, 2 ** 62)]):
+        m, n = _group_sizes(designs)
+        assert m.dtype == n.dtype == np.int64  # np.array([]) alone is float64
+        assert (m.tolist(), n.tolist()) == ([d.m for d in designs], [d.n for d in designs])
+    m, n = _group_sizes([Design(1, 2), Design(2 ** 63, 2 ** 70)])
+    assert m.dtype == n.dtype == object
+    assert (m.tolist(), n.tolist()) == ([1, 2 ** 63], [2, 2 ** 70])
+
+
+# every omega of the benchmark's curve grid, 0.05 ... 0.95 in steps of 0.005:
+# at N = 50 several map to the same design
+FINE_GRID = [round(0.05 + 0.005 * k, 3) for k in range(181)]
+
+
+@pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
+def test_power_curve_matches_the_scalar_closure_bitwise(side):
+    mismatches = []
+    for (F, G), alpha, (total_n, grid) in itertools.product(
+            ARRAY_PAIRS, [1e-6, 0.05, 0.5], [(50, None), (137, None), (50, FINE_GRID)]):
+        power_at = wmw_power_at(F, G, alpha, side)
+        points = power_curve(F, G, total_n, alpha, side, grid)
+        designs = (_grid(total_n, 0.0) if grid is None
+                   else [Design.from_total(total_n, omega) for omega in grid])
+        assert [(p.omega, p.m, p.n) for p in points] == [(d.omega, d.m, d.n) for d in designs]
+        assert all(type(p.power) is float for p in points)
+        if [p.power.hex() for p in points] != [power_at(d).hex() for d in designs]:
+            mismatches.append((F, G, alpha, total_n, grid is None))
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("total_n", [2 ** 62, 2 ** 63 + 6, 2 ** 64 + 1])
+def test_power_curve_past_int64_matches_the_scalar_closure_bitwise(total_n):
+    F, G = normal(1e-9, 1), normal(0, 1)
+    for side in ("one_sided_upper", TWO_SIDED):
+        power_at = wmw_power_at(F, G, 0.05, side)
+        points = power_curve(F, G, total_n, side=side, grid=[0.5, 0.3, 0.999])
+        assert [p.power.hex() for p in points] == [
+            power_at(Design(p.m, p.n)).hex() for p in points]
+
+
+def _no_quadrature(F, G):
+    raise AssertionError("second_moment_integrals called")
+
+
+def test_power_curve_with_an_empty_grid_takes_no_integrals(monkeypatch):
+    monkeypatch.setattr(moments, "second_moment_integrals", _no_quadrature)
+    assert power_curve(normal(0.7, 1), normal(0, 1), 50, grid=[]) == []
+
+
+def test_power_curve_rejects_a_bad_omega_before_any_quadrature(monkeypatch):
+    # a bad omega anywhere in the grid is found before the first point integrates
+    monkeypatch.setattr(moments, "second_moment_integrals", _no_quadrature)
+    with pytest.raises(ValueError, match=r"omega must be in \(0, 1\), got 1.5"):
+        power_curve(normal(0.7, 1), normal(0, 1), 50, grid=[0.5, 1.5])
 
 
 def test_deficiency_search_memory_does_not_grow_with_n():
