@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .distributions import DistributionSpec
-from .moments import Design, _check_total
-from .power import (ONE_SIDED_UPPER, _deficiency_search, _grid, _group_sizes, _wmw_powers,
-                    wmw_power_at)
+from .moments import Design, _check_total, _group_sizes
+from .power import ONE_SIDED_UPPER, _deficiency_search, _grid, _wmw_powers
 from .power import wmw_power  # noqa: F401  kept as design.wmw_power for perfbench/spans.py
 
 
@@ -37,17 +36,19 @@ def optimal_design(F: DistributionSpec, G: DistributionSpec, total_n: int,
     smaller m.  The exceedance integrals are cached per (F, G), so the scan
     costs one quadrature triple regardless of grid size.
     """
-    # the scan stays on the scalar path, one design at a time, until the
-    # benchmark's worker stops keeping every answer until its loop ends: on
-    # _wmw_powers, design_warm answers so many more queries in a run that the
-    # kept answers take its peak_rss_mb past the 10% bound
-    power_at = wmw_power_at(F, G, alpha, side)
-    curve = [CurvePoint(d.omega, d.m, d.n, power_at(d)) for d in _grid(total_n, epsilon)]
+    powers = _wmw_powers(F, G, alpha, side)
+    designs = _grid(total_n, epsilon)
+    m, n = _group_sizes(designs)
+    # one powers call per design, not one pass: a one-pass scan took the
+    # benchmark's design_warm peak_rss_mb from 111.3 to 146.9 MB, past its 10%
+    # bound, because its worker keeps every answer until its loop ends.  Once
+    # ROADMAP direction 1 fixes the worker, the scan is powers(m, n).tolist()
+    curve = [CurvePoint(d.omega, d.m, d.n, powers(m[i:i + 1], n[i:i + 1]).item())
+             for i, d in enumerate(designs)]
     best = max(curve, key=lambda p: (p.power, -abs(p.omega - 0.5), -p.m))
     deficiency = None
     if compute_deficiency:
-        deficiency = _deficiency_search(_wmw_powers(F, G, alpha, side), total_n, 0.5,
-                                        best.power)
+        deficiency = _deficiency_search(powers, total_n, 0.5, best.power)
     return DesignReport(optimal=Design(best.m, best.n), optimal_power=best.power,
                         power_curve=tuple(curve), deficiency_at_half=deficiency, epsilon=epsilon)
 
@@ -58,7 +59,7 @@ def power_curve(F: DistributionSpec, G: DistributionSpec, total_n: int,
     """Power at the realizable design nearest each requested allocation fraction.
 
     The powers of all the curve's designs come from one ``_wmw_powers`` pass,
-    bitwise equal to ``wmw_power_at``'s one design at a time.  N, alpha and
+    bitwise equal to ``wmw_power``'s one design at a time.  N, alpha and
     side are checked first, then every omega of the grid, all before any
     quadrature; an empty grid takes no integrals.
     """

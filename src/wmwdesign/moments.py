@@ -80,42 +80,58 @@ def null_moments(d: Design) -> tuple[float, float]:
     return mn / 2.0, mn * (d.m + d.n + 1) / 12.0
 
 
+def _group_sizes(designs: list[Design]) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 arrays m and n of a list of designs, an empty list included.
+
+    A group size past int64 makes both object arrays of Python ints, so every
+    size reaches ``_moments``' products as an exact integer, never a float.
+    """
+    m, n = [d.m for d in designs], [d.n for d in designs]
+    try:
+        return np.array(m, dtype=np.int64), np.array(n, dtype=np.int64)
+    except OverflowError:
+        return np.array(m, dtype=object), np.array(n, dtype=object)
+
+
+def _moments(m, n, F: DistributionSpec, G: DistributionSpec) -> tuple[np.ndarray, ...]:
+    """The fields of ``MomentSummary``, in its order, as arrays over the designs m[i]/n[i].
+
+    m and n are int arrays.  The products mn(N + 1) and mn(3N - 5) are exact
+    before their one rounding to float, in Python ints wherever int64 could
+    wrap (mn(3N - 5) < 3N³/4).
+    """
+    # bounds the largest total from above in Python ints: m + n itself can wrap int64
+    if 3 * (int(m.max(initial=0)) + int(n.max(initial=0))) ** 3 >= 2 ** 65:
+        m, n = m.astype(object), n.astype(object)
+    total, mn = m + n, m * n
+    fmn = mn.astype(float)
+    e0, var0 = fmn / 2.0, (mn * (total + 1)).astype(float) / 12.0
+    if F == G:
+        # P(X >= Y) = 1/2 and both integrals 1/3: the null case exactly, not
+        # up to quadrature noise
+        size = len(e0)
+        return e0, var0, e0, var0, np.zeros(size), np.ones(size), np.zeros(size, dtype=bool)
+    s = second_moment_integrals(F, G)
+    p, i1, i2 = s.p_x_ge_y, s.int_g2_f, s.int_1mf2_g
+    e1 = fmn * p
+    var1 = fmn * (p - (total - 1).astype(float) * p * p + (n - 1).astype(float) * i1
+                  + (m - 1).astype(float) * i2)
+    # For p in [0, 1], sum |d var1 / d(p, i1, i2)| <= mn(3N - 5), so integral
+    # errors within RESULT_TOL move var1 by at most mn(3N - 5) RESULT_TOL.  A
+    # var1 inside that band is zero to the contract, in either pair order.
+    clamped = var1 <= (mn * (3 * total - 5)).astype(float) * RESULT_TOL
+    var1[clamped] = 0.0
+    return e0, var0, e1, var1, (e1 - e0) / np.sqrt(var0), var1 / var0, clamped
+
+
 def alt_moments(d: Design, F: DistributionSpec, G: DistributionSpec) -> MomentSummary:
     """Moments of U under the alternative, plus the standardized mean/variance.
 
     For F == G the analytic values P(X>=Y) = 1/2 and both second-moment
     integrals = 1/3 are used directly, so the null case is reproduced exactly
-    rather than up to quadrature noise.
+    rather than up to quadrature noise.  The one design's view of ``_moments``.
     """
-    m, n = d.m, d.n
-    mn = m * n
-    e0, var0 = null_moments(d)
-
-    if F == G:  # the null case, which power._wmw_powers repeats
-        return MomentSummary(e0=e0, var0=var0, e1=e0, var1=var0, mu_n=0.0, sigma2_n=1.0)
-
-    s = second_moment_integrals(F, G)
-    p, i1, i2 = s.p_x_ge_y, s.int_g2_f, s.int_1mf2_g
-
-    e1 = mn * p
-    var1 = mn * (p - (m + n - 1) * p * p + (n - 1) * i1 + (m - 1) * i2)
-    # For p in [0, 1], sum |d var1 / d(p, i1, i2)| <= mn(3N - 5), so integral
-    # errors within RESULT_TOL move var1 by at most mn(3N - 5) RESULT_TOL.  A
-    # var1 inside that band is zero to the contract, in either pair order.
-    # power._wmw_powers repeats this clamp on arrays, bitwise in step with it.
-    clamped = var1 <= mn * (3 * (m + n) - 5) * RESULT_TOL
-    if clamped:
-        var1 = 0.0
-
-    return MomentSummary(
-        e0=e0,
-        var0=var0,
-        e1=e1,
-        var1=var1,
-        mu_n=(e1 - e0) / math.sqrt(var0),
-        sigma2_n=var1 / var0,
-        var1_clamped=clamped,
-    )
+    return MomentSummary(*(field.item() for field in _moments(*_group_sizes([d]), F, G)))
 
 
 def standardized_mean_symmetric(omega: float, total_n: int, p: float) -> float:

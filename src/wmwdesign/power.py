@@ -10,8 +10,7 @@ from scipy import special
 
 from . import moments
 from .distributions import DistributionSpec
-from .exceedance import RESULT_TOL
-from .moments import (ConfigurationError, Design, MomentSummary, _check_omega, _check_total,
+from .moments import (ConfigurationError, Design, _check_omega, _check_total, _group_sizes,
                       alt_moments)
 
 ONE_SIDED_UPPER = "one_sided_upper"
@@ -83,25 +82,30 @@ def _critical_values(alpha: float, side: str) -> float | tuple[float, float]:
     return float(special.ndtri(alpha / 2.0)), float(special.ndtri(1.0 - alpha / 2.0))
 
 
-def _power(ms: MomentSummary, crit: float | tuple[float, float], side: str) -> float:
-    """Normal-approximation power of one design from its moments and the query's critical values."""
-    if ms.sigma2_n <= 0.0:
-        # all mass of U on one side; the normal approximation degenerates
-        # (the same rule as _wmw_powers', which must stay bitwise in step)
-        return 1.0 if ms.mu_n > 0 or (side == TWO_SIDED and ms.mu_n != 0) else 0.0
-    from scipy import stats  # imported on first use: importing wmwdesign stays cheap
+def _normal_power(mu, sigma2, crit: float | tuple[float, float], side: str):
+    """Normal-approximation power at standardized moments mu and sigma2 (floats or arrays).
 
-    mu, sigma = ms.mu_n, math.sqrt(ms.sigma2_n)
-    if side == ONE_SIDED_UPPER:
-        return float(1.0 - stats.norm.cdf((crit - mu) / sigma))
-    lower, upper = crit
-    return float(stats.norm.cdf((lower - mu) / sigma) - stats.norm.cdf((upper - mu) / sigma) + 1.0)
+    ``crit`` holds the query's critical values.  ``special.ndtr`` is the
+    function ``stats.norm.cdf`` calls, so every power is bitwise that of
+    ``1 - stats.norm.cdf((crit - mu) / sigma)`` (two-sided: both tails).
+    """
+    degenerate = sigma2 <= 0.0
+    sigma = np.sqrt(np.where(degenerate, 1.0, sigma2))
+    if side == TWO_SIDED:
+        lower, upper = crit
+        power = special.ndtr((lower - mu) / sigma) - special.ndtr((upper - mu) / sigma) + 1.0
+        one_sided_mass = mu != 0
+    else:
+        power = 1.0 - special.ndtr((crit - mu) / sigma)
+        one_sided_mass = mu > 0
+    # all mass of U on one side: the normal approximation degenerates
+    return np.where(degenerate, np.asarray(one_sided_mass, dtype=float), power)
 
 
 def wmw_power(q: PowerQuery) -> PowerResult:
     """Approximate power of the WMW test from the standardized moments."""
     ms = alt_moments(q.design, q.F, q.G)
-    power = _power(ms, _critical_values(q.alpha, q.side), q.side)
+    power = float(_normal_power(ms.mu_n, ms.sigma2_n, _critical_values(q.alpha, q.side), q.side))
     degenerate = ms.sigma2_n <= 0.0
     low = degenerate or min(q.design.m, q.design.n) < MIN_GROUP_SIZE
     return PowerResult(power, ms.mu_n, ms.sigma2_n, "wmw_normal_approx",
@@ -114,63 +118,19 @@ def deficiency_symmetric(omega: float) -> float:
     return 1.0 / (4.0 * omega * (1.0 - omega)) - 1.0
 
 
-def wmw_power_at(F: DistributionSpec, G: DistributionSpec, alpha: float = 0.05,
-                 side: str = ONE_SIDED_UPPER):
-    """The function Design -> approximate WMW power of that design.
-
-    Checks alpha and side, and computes the critical values, once for all designs.
-    """
-    crit = _critical_values(alpha, side)
-
-    def power_at(d: Design) -> float:
-        return _power(alt_moments(d, F, G), crit, side)
-
-    return power_at
-
-
 def _wmw_powers(F: DistributionSpec, G: DistributionSpec, alpha: float = 0.05,
                 side: str = ONE_SIDED_UPPER):
     """The function (m, n) -> approximate WMW powers at the designs m[i]/n[i] (int arrays).
 
     Checks alpha and side, and computes the critical values, once for all
-    designs; the integrals come from ``second_moment_integrals``' cache at
-    each call.  Every power is bitwise equal to ``wmw_power_at``'s at that
-    design: the same float operations in the same order, with
-    ``special.ndtr``, which ``stats.norm.cdf`` calls.  The products mn(N + 1)
-    and mn(3N - 5) are exact before their one rounding to float, in Python
-    ints wherever int64 could wrap (mn(3N - 5) < 3N³/4).
+    designs; each call takes the designs' moments from ``moments._moments``,
+    whose integrals come from ``second_moment_integrals``' cache.
     """
     crit = _critical_values(alpha, side)
-    two_sided = side == TWO_SIDED
-
-    def normal_power(mu, sigma):
-        if two_sided:
-            lower, upper = crit
-            return special.ndtr((lower - mu) / sigma) - special.ndtr((upper - mu) / sigma) + 1.0
-        return 1.0 - special.ndtr((crit - mu) / sigma)
 
     def powers(m, n) -> np.ndarray:
-        if F == G:  # alt_moments' null case: mu_n = 0, sigma2_n = 1
-            return np.full(len(m), float(normal_power(0.0, 1.0)))
-        s = moments.second_moment_integrals(F, G)
-        p, i1, i2 = s.p_x_ge_y, s.int_g2_f, s.int_1mf2_g
-        # bounds the largest total from above in Python ints: m + n itself can wrap int64
-        if 3 * (int(m.max(initial=0)) + int(n.max(initial=0))) ** 3 >= 2 ** 65:
-            m, n = m.astype(object), n.astype(object)
-        total, mn = m + n, m * n
-        fmn = mn.astype(float)
-        var0 = (mn * (total + 1)).astype(float) / 12.0
-        var1 = fmn * (p - (total - 1).astype(float) * p * p + (n - 1).astype(float) * i1
-                      + (m - 1).astype(float) * i2)
-        # alt_moments' clamp, kept bitwise in step with it: a var1 within the
-        # integrals' error band is zero
-        var1[var1 <= (mn * (3 * total - 5)).astype(float) * RESULT_TOL] = 0.0
-        mu, sigma2 = (fmn * p - fmn / 2.0) / np.sqrt(var0), var1 / var0
-        degenerate = sigma2 <= 0.0
-        # all mass of U on one side: _power's rule for the degenerate normal approximation
-        one_sided_mass = (mu > 0) | (two_sided & (mu != 0))
-        return np.where(degenerate, one_sided_mass.astype(float),
-                        normal_power(mu, np.sqrt(np.where(degenerate, 1.0, sigma2))))
+        mu, sigma2 = moments._moments(m, n, F, G)[4:6]  # MomentSummary's mu_n, sigma2_n
+        return _normal_power(mu, sigma2, crit, side)
 
     return powers
 
@@ -190,19 +150,6 @@ def _grid(total_n: int, epsilon: float, smallest: int = 1) -> list[Design]:
             f"no realizable allocations for N={total_n} with epsilon={epsilon}"
         )
     return [Design(m, total_n - m) for m in range(lo, hi + 1)]
-
-
-def _group_sizes(designs: list[Design]) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 arrays m and n of a list of designs, an empty list included.
-
-    A group size past int64 makes both object arrays of Python ints, so every
-    size reaches ``_wmw_powers``' products as an exact integer, never a float.
-    """
-    m, n = [d.m for d in designs], [d.n for d in designs]
-    try:
-        return np.array(m, dtype=np.int64), np.array(n, dtype=np.int64)
-    except OverflowError:
-        return np.array(m, dtype=object), np.array(n, dtype=object)
 
 
 def _first_reaching(powers, m, n, target: float) -> int | None:

@@ -129,6 +129,10 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
     m, n = plan.design.m, plan.design.n
     if test in ("t_hom", "t_het") and min(m, n) < 2:
         raise ValueError(f"{test} needs at least 2 observations per group, got m={m}, n={n}")
+    if test == "wmw_exact" and plan.alpha >= 0.5 and m * n + 1 <= MAX_TABLE_ENTRIES:
+        # critical_value's own rule, checked before any draw or table build; a
+        # table too large falls back to the normal test, which takes this alpha
+        raise ValueError(f"alpha must be in (0, 0.5), got {plan.alpha}")
     two_sided = plan.side != ONE_SIDED_UPPER
     level = 1.0 - plan.alpha / 2.0 if two_sided else 1.0 - plan.alpha
     fell_back = False

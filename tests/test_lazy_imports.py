@@ -1,6 +1,7 @@
 """Importing wmwdesign loads numpy and scipy.special, not scipy.stats or scipy.integrate.
 
-The functions that need those two modules import them on their first call.
+Only ``welch_power`` (scipy.stats) and the quadrature (scipy.integrate)
+import them, on their first call: the WMW power path needs no scipy.stats.
 This test session has imported scipy.stats already (scipy_oracle.py and the
 oracles of the other test modules), so a missing first-call import shows only
 in a fresh interpreter: one is started with PYTHONPATH set to the package's
@@ -49,8 +50,18 @@ for test in TESTS:
     simulate_power(plan, test=test)
 loaded = [name for name in ("scipy.stats", "scipy.integrate") if name in sys.modules]
 
+from wmwdesign import (TWO_SIDED, PowerQuery, chi_square, deficiency_general, optimal_design,
+                       power_curve, wmw_power)
+F, G = normal(0.75, 2.0), chi_square(3.0, shift=-2.0)
+optimal_design(F, G, 50)
+power_curve(F, G, 50)
+deficiency_general(F, G, 50, 0.3)
+wmw_power(PowerQuery(F, G, Design(12, 30), side=TWO_SIDED))
+wmw_loaded = [name for name in ("scipy.stats", "scipy.integrate") if name in sys.modules]
+
 {inspect.getsource(first_calls)}
-print(json.dumps({{"package": wmwdesign.__file__, "loaded": loaded, "results": first_calls()}}))
+print(json.dumps({{"package": wmwdesign.__file__, "loaded": loaded, "wmw_loaded": wmw_loaded,
+                  "results": first_calls()}}))
 """
 
 
@@ -64,4 +75,7 @@ def test_fresh_interpreter_loads_stats_and_integrate_on_first_call():
     # importing the package and the CLI, exact null tables and all four
     # simulated tests need neither module
     assert child["loaded"] == []
+    # the WMW power path, its scans and its deficiency search integrate, but
+    # load no scipy.stats
+    assert child["wmw_loaded"] == ["scipy.integrate"]
     assert child["results"] == first_calls()

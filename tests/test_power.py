@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -32,8 +33,10 @@ from wmwdesign import (
 )
 from wmwdesign import moments
 from wmwdesign import power as power_mod
-from wmwdesign.power import (_critical_values, _deficiency_search, _grid, _group_sizes,
-                             _welch_powers, _wmw_powers, wmw_power_at)
+from wmwdesign.exceedance import RESULT_TOL, second_moment_integrals
+from wmwdesign.moments import MomentSummary, _group_sizes, alt_moments, null_moments
+from wmwdesign.power import (_critical_values, _deficiency_search, _grid, _welch_powers,
+                             _wmw_powers)
 from wmwdesign.scenarios import SCENARIOS
 
 CATALOGUE_PAIRS = list(dict.fromkeys((s.F, s.G) for group in SCENARIOS.values() for s in group))
@@ -87,13 +90,53 @@ def test_reversal_duality(pair, m, n):
     assert rev.approx_power == pytest.approx(res.approx_power, abs=1e-6)
 
 
-def _oracle_normal_power(mu, sigma2, alpha, side):
-    """The normal-approximation power as scipy.stats writes it, quantile and all."""
+def _oracle_critical_values(alpha, side):
+    if side == "one_sided_upper":
+        return float(stats.norm.ppf(1.0 - alpha))
+    return float(stats.norm.ppf(alpha / 2.0)), float(stats.norm.ppf(1.0 - alpha / 2.0))
+
+
+def _oracle_normal_power(mu, sigma2, crit, side):
+    """The normal-approximation power as scipy.stats writes it, at critical values crit."""
+    if sigma2 <= 0.0:
+        # all mass of U on one side: 1 wherever the test can reject, else 0
+        return 1.0 if mu > 0 or (side == TWO_SIDED and mu != 0) else 0.0
     sigma = math.sqrt(sigma2)
     if side == "one_sided_upper":
-        return float(1.0 - stats.norm.cdf((stats.norm.ppf(1.0 - alpha) - mu) / sigma))
-    return float(stats.norm.cdf((stats.norm.ppf(alpha / 2.0) - mu) / sigma)
-                 - stats.norm.cdf((stats.norm.ppf(1.0 - alpha / 2.0) - mu) / sigma) + 1.0)
+        return float(1.0 - stats.norm.cdf((crit - mu) / sigma))
+    lower, upper = crit
+    return float(stats.norm.cdf((lower - mu) / sigma) - stats.norm.cdf((upper - mu) / sigma) + 1.0)
+
+
+def _oracle_alt_moments(d, F, G):
+    """The moments of U at one design, in Python ints and floats: mn(N + 1) and
+    mn(3N - 5) are exact integers at any size, rounded to float once."""
+    m, n = d.m, d.n
+    mn = m * n
+    e0, var0 = null_moments(d)
+    if F == G:
+        return MomentSummary(e0=e0, var0=var0, e1=e0, var1=var0, mu_n=0.0, sigma2_n=1.0)
+    s = second_moment_integrals(F, G)
+    p, i1, i2 = s.p_x_ge_y, s.int_g2_f, s.int_1mf2_g
+    e1 = mn * p
+    var1 = mn * (p - (m + n - 1) * p * p + (n - 1) * i1 + (m - 1) * i2)
+    clamped = var1 <= mn * (3 * (m + n) - 5) * RESULT_TOL
+    if clamped:
+        var1 = 0.0
+    return MomentSummary(e0=e0, var0=var0, e1=e1, var1=var1, mu_n=(e1 - e0) / math.sqrt(var0),
+                         sigma2_n=var1 / var0, var1_clamped=clamped)
+
+
+def _oracle_power_at(F, G, alpha=0.05, side="one_sided_upper"):
+    """The function Design -> WMW power, one design at a time: the oracle of
+    every WMW power the package computes."""
+    crit = _oracle_critical_values(alpha, side)
+
+    def power_at(d):
+        ms = _oracle_alt_moments(d, F, G)
+        return _oracle_normal_power(ms.mu_n, ms.sigma2_n, crit, side)
+
+    return power_at
 
 
 def test_power_matches_scipy_stats_oracle_bitwise():
@@ -107,8 +150,9 @@ def test_power_matches_scipy_stats_oracle_bitwise():
     for (F, G), (m, n), alpha, side in cases:
         res = wmw_power(PowerQuery(F, G, Design(m, n), alpha, side))
         assert not res.degenerate_variance
-        want = _oracle_normal_power(res.mu_n, res.sigma2_n, alpha, side).hex()
-        got = (res.approx_power.hex(), wmw_power_at(F, G, alpha, side)(Design(m, n)).hex())
+        want = _oracle_normal_power(res.mu_n, res.sigma2_n, _oracle_critical_values(alpha, side),
+                                    side).hex()
+        got = (res.approx_power.hex(), _oracle_power_at(F, G, alpha, side)(Design(m, n)).hex())
         if got != (want, want):
             mismatches.append((F, G, m, n, alpha, side, got, want))
     assert mismatches == []
@@ -136,7 +180,7 @@ def test_critical_values_match_scipy_stats_ppf_bitwise():
 ])
 def test_degenerate_variance_power_and_flags(F, G, one_sided, two_sided):
     for side, want in (("one_sided_upper", one_sided), (TWO_SIDED, two_sided)):
-        power_at = wmw_power_at(F, G, 0.05, side)
+        power_at = _oracle_power_at(F, G, 0.05, side)
         for m, n in ((1, 1), (10, 10), (25, 40)):
             res = wmw_power(PowerQuery(F, G, Design(m, n), side=side))
             assert res.degenerate_variance and res.low_confidence
@@ -152,7 +196,7 @@ def test_power_curve_rejects_bad_alpha_or_side_with_no_design(alpha, side):
     with pytest.raises(ValueError, match="alpha must be|side must be"):
         power_curve(F, G, 50, alpha=alpha, side=side, grid=[])
     with pytest.raises(ValueError, match="alpha must be|side must be"):
-        wmw_power_at(F, G, alpha, side)
+        _wmw_powers(F, G, alpha, side)
 
 
 def test_small_groups_flagged_low_confidence():
@@ -376,13 +420,13 @@ ARRAY_PAIRS = CATALOGUE_PAIRS + [(normal(0, 1), normal(0, 1))] + DEGENERATE_PAIR
 
 
 @pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
-def test_wmw_powers_match_the_scalar_closure_bitwise(side):
+def test_wmw_powers_match_the_scalar_oracle_bitwise(side):
     rng = np.random.default_rng(23)
     m = np.concatenate([[1, 1, 2, 6, 25, 150], rng.integers(1, 400, 60)])
     n = np.concatenate([[1, 6, 2, 1, 25, 300], rng.integers(1, 400, 60)])
     mismatches = []
     for (F, G), alpha in itertools.product(ARRAY_PAIRS, [1e-6, 0.05, 0.5]):
-        power_at = wmw_power_at(F, G, alpha, side)
+        power_at = _oracle_power_at(F, G, alpha, side)
         got = _wmw_powers(F, G, alpha, side)(m, n)
         want = [power_at(Design(a, b)) for a, b in zip(m.tolist(), n.tolist())]
         if [g.hex() for g in got.tolist()] != [w.hex() for w in want]:
@@ -390,17 +434,38 @@ def test_wmw_powers_match_the_scalar_closure_bitwise(side):
     assert mismatches == []
 
 
+def test_alt_moments_match_the_scalar_oracle_bitwise():
+    # the one-design view of the array moments: Python floats and a bool,
+    # bitwise the oracle's, up to groups whose totals pass int64
+    designs = [Design(1, 1), Design(1, 6), Design(6, 1), Design(25, 25), Design(150, 300),
+               Design(np.int64(40), 9), Design(2 ** 22, 2 ** 22), Design(2 ** 22 + 1, 2 ** 22 - 1),
+               Design(2 ** 62, 2 ** 62 + 6), Design(2 ** 63, 2 ** 70)]
+    names = [field.name for field in dataclasses.fields(MomentSummary)][:-1]
+    mismatches, clamped = [], 0
+    for (F, G), d in itertools.product(ARRAY_PAIRS, designs):
+        got, want = alt_moments(d, F, G), _oracle_alt_moments(d, F, G)
+        assert all(type(getattr(got, name)) is float for name in names)
+        assert type(got.var1_clamped) is bool
+        clamped += got.var1_clamped
+        if ([getattr(got, name).hex() for name in names] != [getattr(want, name).hex()
+                                                              for name in names]
+                or got.var1_clamped != want.var1_clamped):
+            mismatches.append((F, G, d))
+    assert mismatches == []
+    assert clamped == 2 * len(designs)  # both degenerate orders clamp at every design
+
+
 @pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
 def test_wmw_powers_take_exact_integer_products_at_large_designs(side):
     # mn(m + n + 1) passes 2^63 at groups of about 2^21; int64 products wrapped
-    # and gave 0.9998 two-sided at 4194304/4194304, where the scalar path gives 0.2933
+    # and gave 0.9998 two-sided at 4194304/4194304, where the oracle gives 0.2933
     sizes = [10 ** 5, 2 ** 22, 12_345_679, 6 * 10 ** 7]
     m, n = (np.array(a) for a in zip(*itertools.product(sizes, sizes)))
     m, n = np.append(m, [2 ** 22 + 1, 999_983]), np.append(n, [2 ** 22 - 1, 31_415_926])
     assert any(int(a) * int(b) * (int(a) + int(b) + 1) != int(w) for a, b, w in
                zip(m, n, m * n * (m + n + 1)))  # int64 wraps at these designs
     for F, G in [(normal(0.001, 1), normal(0, 1)), (normal(0, 1.0001), normal(0, 1))]:
-        power_at = wmw_power_at(F, G, 0.05, side)
+        power_at = _oracle_power_at(F, G, 0.05, side)
         got = _wmw_powers(F, G, 0.05, side)(m, n)
         want = [power_at(Design(a, b)) for a, b in zip(m.tolist(), n.tolist())]
         assert [g.hex() for g in got.tolist()] == [w.hex() for w in want]
@@ -408,13 +473,13 @@ def test_wmw_powers_take_exact_integer_products_at_large_designs(side):
 
 def test_wmw_powers_take_exact_products_where_the_total_passes_int64():
     # m and n fit in int64 but m + n does not, so the sum wraps negative if
-    # taken in int64; the scalar path gives 0.315 at the first design.  These
+    # taken in int64; the oracle gives 0.315 at the first design.  These
     # designs stand alone: beside a design with a positive total past 2.3e6 the
     # products take Python ints whatever the wrapped sums read
     F, G = normal(1e-9, 1), normal(0, 1)
     m, n = np.array([2 ** 62, 2 ** 62 - 1]), np.array([2 ** 62 + 6, 2 ** 62 + 2])
     for side in ("one_sided_upper", TWO_SIDED):
-        power_at = wmw_power_at(F, G, 0.05, side)
+        power_at = _oracle_power_at(F, G, 0.05, side)
         got = _wmw_powers(F, G, 0.05, side)(m, n)
         want = [power_at(Design(a, b)) for a, b in zip(m.tolist(), n.tolist())]
         assert [g.hex() for g in got.tolist()] == [w.hex() for w in want]
@@ -437,11 +502,11 @@ FINE_GRID = [round(0.05 + 0.005 * k, 3) for k in range(181)]
 
 
 @pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
-def test_power_curve_matches_the_scalar_closure_bitwise(side):
+def test_power_curve_matches_the_scalar_oracle_bitwise(side):
     mismatches = []
     for (F, G), alpha, (total_n, grid) in itertools.product(
             ARRAY_PAIRS, [1e-6, 0.05, 0.5], [(50, None), (137, None), (50, FINE_GRID)]):
-        power_at = wmw_power_at(F, G, alpha, side)
+        power_at = _oracle_power_at(F, G, alpha, side)
         points = power_curve(F, G, total_n, alpha, side, grid)
         designs = (_grid(total_n, 0.0) if grid is None
                    else [Design.from_total(total_n, omega) for omega in grid])
@@ -453,10 +518,10 @@ def test_power_curve_matches_the_scalar_closure_bitwise(side):
 
 
 @pytest.mark.parametrize("total_n", [2 ** 62, 2 ** 63 + 6, 2 ** 64 + 1])
-def test_power_curve_past_int64_matches_the_scalar_closure_bitwise(total_n):
+def test_power_curve_past_int64_matches_the_scalar_oracle_bitwise(total_n):
     F, G = normal(1e-9, 1), normal(0, 1)
     for side in ("one_sided_upper", TWO_SIDED):
-        power_at = wmw_power_at(F, G, 0.05, side)
+        power_at = _oracle_power_at(F, G, 0.05, side)
         points = power_curve(F, G, total_n, side=side, grid=[0.5, 0.3, 0.999])
         assert [p.power.hex() for p in points] == [
             power_at(Design(p.m, p.n)).hex() for p in points]
@@ -530,7 +595,7 @@ WELCH_CASES = [(0.75, 1.0, 1.0), (0.75, 3.0, 1.0), (0.5, 0.5, 2.0), (3.0, 1.0, 1
 def test_chunked_deficiency_search_matches_the_walk(baseline, pair, welch, side, total_n, omega):
     if baseline == "wmw":
         F, G = pair
-        power_at = wmw_power_at(F, G, 0.05, side)
+        power_at = _oracle_power_at(F, G, 0.05, side)
         target = max(map(power_at, _grid(total_n, 0.1)))
         want = _outcome(lambda: _walked_deficiency(power_at, total_n, omega, target))
         assert _outcome(lambda: deficiency_general(F, G, total_n, omega, side=side)) == want

@@ -678,6 +678,32 @@ def test_fallback_to_normal_rule_when_table_too_large(monkeypatch):
         assert res.rejection_rate == _oracle_rejections(plan, "wmw_normal") / plan.trials
 
 
+@pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
+@pytest.mark.parametrize("alpha", [0.5, 0.6])
+def test_exact_test_rejects_alpha_of_a_half_or_more_before_any_work(monkeypatch, alpha, side):
+    # critical_value raised it only after the threads had drawn and the table
+    # was built: 2.2 s at 300/300 with 20,000 trials
+    def started(*args, **kwargs):
+        raise AssertionError("draws or the exact table started")
+
+    monkeypatch.setattr(simulate_mod, "_block_rng", started)
+    monkeypatch.setattr(simulate_mod, "build_table", started)
+    plan = SimulationPlan(normal(0.5, 1.0), normal(0.0, 1.0), Design(300, 300), alpha, side,
+                          trials=20_000)
+    with pytest.raises(ValueError, match=rf"alpha must be in \(0, 0.5\), got {alpha}"):
+        simulate_power(plan, test="wmw_exact")
+
+
+def test_exact_test_with_a_table_too_large_falls_back_at_any_alpha(monkeypatch):
+    # the normal test takes alpha in (0, 1), so the fallback still runs at 0.6
+    monkeypatch.setattr(simulate_mod, "MAX_TABLE_ENTRIES", 50)
+    plan = SimulationPlan(normal(0.75, 1), normal(0, 1), Design(10, 10), alpha=0.6,
+                          trials=1000, seed=1)
+    res = simulate_power(plan, test="wmw_exact")
+    assert res.fell_back_to_normal
+    assert res.rejection_rate == _oracle_rejections(plan, "wmw_normal") / plan.trials
+
+
 def test_invalid_test_name():
     plan = SimulationPlan(normal(0, 1), normal(0, 1), Design(5, 5), trials=10)
     with pytest.raises(ValueError):
