@@ -20,7 +20,7 @@ from pathlib import Path
 from . import design as design_mod
 from . import scenarios as scenarios_mod
 from .distributions import DistributionSpec, ParameterError
-from .exact_null import TableSizeError, build_table, critical_value
+from .exact_null import TableSizeError, _check_exact_alpha, build_table, critical_value
 from .exceedance import QuadratureAccuracyError, check_identities
 from .moments import Design, null_moments
 from .power import (
@@ -205,6 +205,7 @@ def _cmd_deficiency(args):
 
 
 def _cmd_exact_null(args):
+    _check_exact_alpha(args.alpha)  # before the table is built
     table = build_table(args.m, args.n)
     e0, var0 = null_moments(Design(args.m, args.n))
     cv = critical_value(table, args.alpha, "upper")
@@ -246,8 +247,7 @@ def _cmd_reproduce(args):
 
     if args.figure == "epping":
         sc = scenarios_mod.SCENARIOS["epping"][0]
-        report = design_mod.optimal_design(sc.F, sc.G, sc.total_n,
-                                           alpha=sc.alpha, side=sc.side)
+        report = design_mod.optimal_design(sc.F, sc.G, sc.total_n, alpha=sc.alpha)
         out = _design_report_dict(report)
         # the second group holds the chi-square (recovery) distribution
         out["omega_star_second_group"] = 1.0 - report.optimal.omega
@@ -258,12 +258,10 @@ def _cmd_reproduce(args):
     rows = []
     grid = [i / 10.0 for i in range(1, 10)]
     for sc in scenarios_mod.SCENARIOS[args.figure]:
-        seed = args.seed if args.seed is not None else sc.seed
-        trials = args.trials if args.trials is not None else sc.trials
-        for p in design_mod.power_curve(sc.F, sc.G, sc.total_n, alpha=sc.alpha,
-                                        side=sc.side, grid=grid):
+        for p in design_mod.power_curve(sc.F, sc.G, sc.total_n, alpha=sc.alpha, grid=grid):
             rows.append([sc.name, p.omega, p.m, p.n, p.power,
-                         *_mc_columns(sc.F, sc.G, p, sc.alpha, sc.side, trials, seed)])
+                         *_mc_columns(sc.F, sc.G, p, sc.alpha, ONE_SIDED_UPPER,
+                                      args.trials, args.seed)])
     header = ["scenario", "omega", "m", "n", "power_approx", "power_mc", "mc_se"]
     _emit_rows(header, rows, args.out)
 
@@ -332,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a bundled scenario group")
     p.add_argument("--figure", required=True, choices=SCENARIOS_CHOICES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int, default=20160022)
+    p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--out", help="write CSV here instead of JSON to stdout "
                                  "(epping: its JSON report)")
     p.set_defaults(func=_cmd_reproduce)

@@ -218,10 +218,8 @@ def _bind(shift, loc, scale, lower, upper, closed, density, distribution, invers
             return _NAN if z != z else _ONE if z >= upper else _ZERO
         return _place(z, (lower < z) & (z < upper), (z >= upper) * 1.0, distribution)
 
-    def quantile(q):
-        if isinstance(q, float):
-            return inverse(q) * scale + loc + shift if 0 < q < 1 else _NAN
-        return _place(q, (0 < q) & (q < 1), np.nan, lambda q: inverse(q) * scale + loc + shift)
+    def quantile(q):  # DistributionSpec.quantile admits only levels in (0, 1)
+        return inverse(q) * scale + loc + shift
 
     def sample(rng, size):
         x = draw(rng, size)

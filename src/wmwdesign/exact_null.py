@@ -66,6 +66,11 @@ class CriticalValue:
     degenerate: bool  # no nonzero-size rejection region at this alpha
 
 
+def _check_exact_alpha(alpha: float):
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
+
+
 @lru_cache(maxsize=64)
 def build_table(m: int, n: int, max_entries: int = MAX_TABLE_ENTRIES) -> ExactNullTable:
     """Exact pmf of U under the null from its generating function.
@@ -104,8 +109,7 @@ def critical_value(table: ExactNullTable, alpha: float, side: str = "upper") -> 
     and the achieved size counts both tails.  Sizes are compared exactly, as
     integers, against alpha limited to a denominator of at most 10**12.
     """
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
+    _check_exact_alpha(alpha)
     if side not in ("upper", "two_sided"):
         raise ValueError(f"side must be 'upper' or 'two_sided', got {side!r}")
 

@@ -50,21 +50,18 @@ class IdentityReport:
     summary: ExceedanceSummary
 
 
-def _domain(weight: DistributionSpec) -> tuple[float, float]:
-    # the integrand is bounded by the weight density, so truncating at its
-    # extreme quantiles loses at most _TAIL of mass
-    return weight.quantile(_TAIL), weight.quantile(1 - _TAIL)
-
-
 _GUIDE_LEVELS = (1e-9, 1e-6, 1e-3, 0.05, 0.25, 0.5, 0.75, 0.95,
                  1 - 1e-3, 1 - 1e-6, 1 - 1e-9)
 
 
 def _domains(F: DistributionSpec, G: DistributionSpec):
-    """(lo, hi, breakpoints) for the weights F and G, from 26 quantiles in all.
+    """(lo, hi, breakpoints) for the weights F and G, from 13 quantile levels
+    per spec (_TAIL, the eleven guide levels, 1 - _TAIL) in one call each.
 
-    Support edges (a shifted exponential's origin) are kinks, and interior
-    quantiles keep the subdivision from missing a narrow density inside a
+    The integrand is bounded by the weight density, so truncating a domain
+    at its weight's extreme quantiles loses at most _TAIL of mass.  Support
+    edges (a shifted exponential's origin) are kinks, and interior quantiles
+    keep the subdivision from missing a narrow density inside a
     heavy-tailed partner's huge truncated range; both specs' edges and guide
     quantiles serve as breakpoints wherever they fall inside a domain.
 
@@ -75,11 +72,10 @@ def _domains(F: DistributionSpec, G: DistributionSpec):
     QAGP then misses the bound (shifted) or reports 1e-11 on a result off by
     up to 1e-3 (unshifted), so they are left out of that domain's breakpoints.
     """
-    quantiles = [[spec.quantile(level) for level in _GUIDE_LEVELS] for spec in (F, G)]
-    guides = [x for spec, qs in zip((F, G), quantiles) for x in (*spec.support(), *qs)]
+    quantiles = [spec.quantile((_TAIL, *_GUIDE_LEVELS, 1 - _TAIL)) for spec in (F, G)]
+    guides = [x for spec, qs in zip((F, G), quantiles) for x in (*spec.support(), *qs[1:-1])]
     domains = []
-    for spec, qs in zip((F, G), quantiles):
-        lo, hi = _domain(spec)
+    for spec, (lo, *qs, hi) in zip((F, G), quantiles):
         near_edge = qs[:3] if np.isinf(spec.pdf(spec.support()[0])) else ()
         domains.append((lo, hi, sorted({x for x in guides
                                         if lo < x < hi and x not in near_edge}) or None))

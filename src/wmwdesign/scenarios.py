@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .distributions import DistributionSpec, chi_square, exponential, log_normal, normal, student_t
-from .power import ONE_SIDED_UPPER
 
 SCENARIO_VERSION = "1"
 
@@ -22,9 +21,6 @@ class Scenario:
     G: DistributionSpec
     total_n: int = 50
     alpha: float = 0.05
-    side: str = ONE_SIDED_UPPER
-    trials: int = 10_000
-    seed: int = 20160022
 
 
 def _panel_a() -> list[Scenario]:

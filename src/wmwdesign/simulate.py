@@ -14,8 +14,8 @@ stream behind its own lock.  A thread pulls chunks from its own blocks
 (owner, owner + w, ...; the calling thread is owner 0), then from every
 block in order: it takes the next chunk under the lock and computes that
 chunk's statistic itself, leaving a block only once its stream is exhausted
-or a step has failed.  The calling thread builds the exact null table while
-the pool threads draw.  Memory: at most w blocks' 2048·m draws of X are alive, one
+or a step has failed.  The test and its threshold are fixed before any
+thread starts.  Memory: at most w blocks' 2048·m draws of X are alive, one
 per thread, plus one row chunk (at most MERGE_BUDGET values of Y and a view
 of X) and its temporaries per thread, about 21 bytes per value of X and Y.
 """
@@ -32,7 +32,7 @@ import numpy as np
 from scipy import special
 
 from .distributions import DistributionSpec
-from .exact_null import MAX_TABLE_ENTRIES, TableSizeError, build_table, critical_value
+from .exact_null import MAX_TABLE_ENTRIES, _check_exact_alpha, build_table, critical_value
 from .moments import Design, _is_int, null_moments
 from .power import ONE_SIDED_UPPER, _check_alpha, _check_side, _welch_df
 
@@ -129,14 +129,25 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
     m, n = plan.design.m, plan.design.n
     if test in ("t_hom", "t_het") and min(m, n) < 2:
         raise ValueError(f"{test} needs at least 2 observations per group, got m={m}, n={n}")
-    if test == "wmw_exact" and plan.alpha >= 0.5 and m * n + 1 <= MAX_TABLE_ENTRIES:
-        # critical_value's own rule, checked before any draw or table build; a
-        # table too large falls back to the normal test, which takes this alpha
-        raise ValueError(f"alpha must be in (0, 0.5), got {plan.alpha}")
+    # a table too large falls back to the normal test, which takes any alpha
+    fell_back = test == "wmw_exact" and m * n + 1 > MAX_TABLE_ENTRIES
+    if fell_back:
+        test = "wmw_normal"
     two_sided = plan.side != ONE_SIDED_UPPER
     level = 1.0 - plan.alpha / 2.0 if two_sided else 1.0 - plan.alpha
-    fell_back = False
     e0, var0 = null_moments(plan.design)
+    if test == "wmw_exact":
+        _check_exact_alpha(plan.alpha)  # before the table is built
+        table = build_table(m, n, max_entries=MAX_TABLE_ENTRIES)
+        # Centred at mn/2, exactly in float64.  The bound c exceeds mn/2, so
+        # |U - mn/2| >= c - mn/2 is U >= c or U <= mn - c, and the degenerate
+        # bound mn + 1 lies beyond every U.
+        cv = critical_value(table, plan.alpha, "two_sided" if two_sided else "upper")
+        scale, crit = 1.0, cv.value - e0
+    elif test == "wmw_normal":
+        scale, crit = math.sqrt(var0), special.ndtri(level)
+    elif test == "t_hom":
+        crit = special.stdtrit(m + n - 2, level)
 
     def statistic(x, y):
         """Per-trial statistic of row samples x and y, and its critical value."""
@@ -181,7 +192,6 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
     locks = [threading.Lock() for _ in blocks]
     steps = [1] * len(blocks)  # each block's next draw step
     errors = []  # (key, error) of each failed step
-    ready = threading.Event()  # the set-up below has fixed the test and its threshold
 
     def stopped(key):
         return any(failed <= key for failed, _ in errors)
@@ -201,7 +211,6 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
                             break
                         steps[block] += 2
                     key = (block, key[1] + 1)
-                    ready.wait()
                     if stopped(key):
                         break
                     stat, threshold = statistic(*chunk)
@@ -212,33 +221,14 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
                 count += int(((np.abs(stat) if two_sided else stat) >= threshold).sum())
         return count
 
-    # pool threads start only on submit: one worker starts none.  They draw
-    # while the calling thread builds the exact table, and their statistics
-    # wait for it
+    # pool threads start only on submit: one worker starts none
     with ThreadPoolExecutor(workers) as pool:
         helpers = [pool.submit(work, owner) for owner in range(1, workers)]
         try:
-            if test == "wmw_exact":
-                try:
-                    table = build_table(m, n, max_entries=MAX_TABLE_ENTRIES)
-                except TableSizeError:
-                    test, fell_back = "wmw_normal", True
-                else:
-                    # Centred at mn/2, exactly in float64.  The bound c exceeds
-                    # mn/2, so |U - mn/2| >= c - mn/2 is U >= c or U <= mn - c,
-                    # and the degenerate bound mn + 1 lies beyond every U.
-                    cv = critical_value(table, plan.alpha, "two_sided" if two_sided else "upper")
-                    scale, crit = 1.0, cv.value - e0
-            if test == "wmw_normal":
-                scale, crit = math.sqrt(var0), special.ndtri(level)
-            elif test == "t_hom":
-                crit = special.stdtrit(m + n - 2, level)
-            ready.set()
             rejections = work(0) + sum(helper.result() for helper in helpers)
         except BaseException:
-            # a failed set-up or an interrupt: every thread stops at its next step
+            # an interrupt: every thread stops at its next step
             errors.append(((-1, 0), None))
-            ready.set()
             raise
     if errors:
         # the error a one-thread run raises: the lowest step's

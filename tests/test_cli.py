@@ -211,6 +211,21 @@ def test_exact_null_resource_limit(capsys):
     assert "resource limit" in err
 
 
+@pytest.mark.parametrize("m,n", [(3, 2), (2000, 2000)], ids=["small", "too large"])
+@pytest.mark.parametrize("alpha", ["0.5", "0.7", "0", "nan"])
+def test_exact_null_rejects_alpha_before_building_the_table(monkeypatch, capsys, m, n, alpha):
+    # a 300 x 300 table took 2.3 s to build before alpha 0.7 was rejected; a
+    # request that is also too large is a usage error, not a resource limit
+    def build_table(*args, **kwargs):
+        raise AssertionError("the exact table was built")
+
+    monkeypatch.setattr(cli, "build_table", build_table)
+    code, out, err = run(capsys, "exact-null", "--m", str(m), "--n", str(n), "--alpha", alpha)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: alpha must be in (0, 0.5), got {float(alpha)}\n"
+
+
 def test_simulate_subcommand(capsys):
     code, out, _ = run(
         capsys, "simulate", "--f-spec", NORMAL_STD, "--g-spec", NORMAL_STD,

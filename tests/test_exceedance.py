@@ -421,17 +421,31 @@ def test_identity_residuals_unchanged(monkeypatch, F, G, complement, nested):
     assert report.complement_residual == abs(s.int_1mf2_g - (2.0 * s.p_x_ge_y - 1.0 + f2g))
 
 
-def test_cold_pair_makes_26_quantile_calls(monkeypatch):
-    # two domain ends and eleven guide quantiles per spec, each computed once
-    # for all three integrals (the per-integral path made 72 calls)
-    levels = []
+@pytest.mark.xfail(strict=True, reason="both weights have a singular edge at 0: the x-space "
+                   "quadrature reports a bound of 3.3e-11 on integrals off by 2.6e-4")
+def test_chi_square_pair_with_two_singular_edges_meets_its_identities():
+    # the reported bound holds the summary to RESULT_TOL, so the identities'
+    # residuals must be of that order too; they are 2.58e-4
+    report = check_identities(chi_square(0.5), chi_square(0.3))
+    assert report.summary.quadrature_error_bound <= exceedance.RESULT_TOL
+    assert report.complement_residual <= 3 * exceedance.RESULT_TOL
+    assert report.nested_residual <= 3 * exceedance.RESULT_TOL
+
+
+def test_cold_pair_makes_two_quantile_calls_of_13_levels(monkeypatch):
+    # two domain ends and eleven guide quantiles per spec, in one array call
+    # each for all three integrals (the per-integral path made 72 calls)
+    calls = []
     spec = distributions.DistributionSpec
     quantile = spec.quantile
-    monkeypatch.setattr(spec, "quantile", lambda self, p: levels.append(p) or quantile(self, p))
+    monkeypatch.setattr(spec, "quantile",
+                        lambda self, p: calls.append((self, tuple(p))) or quantile(self, p))
     F, G = student_t(3.7, 0.5, 1.2), exponential(0.9, shift=-0.4)
     second_moment_integrals.__wrapped__(F, G)
-    assert len(levels) == 26
-    assert len(set(levels)) == 13
+    assert [spec for spec, _ in calls] == [F, G]
+    for _, levels in calls:
+        assert len(set(levels)) == 13
+        assert levels == tuple(sorted(levels))
 
 
 def test_cold_integrals_and_sampling_create_no_frozen_scipy_object(monkeypatch):

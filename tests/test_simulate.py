@@ -489,31 +489,21 @@ def test_a_statistic_error_comes_before_the_next_chunks_draw_error(monkeypatch, 
 @pytest.mark.parametrize("error", [KeyError("no table"), KeyboardInterrupt()],
                          ids=["error", "interrupt"])
 @pytest.mark.parametrize("cpus", [2, 3, 8])
-def test_a_failed_set_up_stops_every_thread(monkeypatch, error, cpus):
-    # the pool threads draw while the calling thread builds the exact table;
-    # the build fails once each has drawn a chunk and waits for the
-    # threshold with it in hand, and the same exception comes back with
-    # every thread stopped
-    design = Design(7, 9)
-    _chunks_per_block(monkeypatch, 300, design)
-    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
-    helper_draws = threading.Semaphore(0)
-
-    def drawn(draws):
-        if threading.current_thread() is not threading.main_thread():
-            helper_draws.release()
-        return draws
+def test_a_failed_set_up_starts_no_thread_and_draws_nothing(monkeypatch, error, cpus):
+    # the exact table is built before any thread starts, so a build that
+    # fails raises its own exception before a single draw, on every CPU count
+    def started(*args, **kwargs):
+        raise AssertionError("a draw or a pool thread started")
 
     def build_table(m, n, max_entries):
-        for _ in range(cpus - 1):
-            assert helper_draws.acquire(timeout=60)
-        time.sleep(0.05)
         raise error
 
+    monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulate_mod, "_block_rng", started)
+    monkeypatch.setattr(simulate_mod, "ThreadPoolExecutor", started)
     monkeypatch.setattr(simulate_mod, "build_table", build_table)
-    G = _Chunks(normal(0.0, 1.0), {(block, k): drawn for block in range(4 * cpus)
-                                   for k in range(7)})
-    plan = SimulationPlan(normal(0.3, 1.0), G, design, trials=4 * cpus * 2048)
+    plan = SimulationPlan(normal(0.3, 1.0), normal(0.0, 1.0), Design(7, 9),
+                          trials=4 * cpus * 2048)
     before = threading.active_count()
     with pytest.raises(type(error)) as raised:
         simulate_power(plan, "wmw_exact")
