@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import astuple, fields, is_dataclass
 from pathlib import Path
 
 from . import design as design_mod
@@ -50,39 +50,51 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _sig10(x):
-    """Round floats to 10 significant digits, locale independent."""
+def _fields(obj) -> dict:
+    """A result dataclass's fields by name: a Design's are m, n and its omega,
+    and a sequence (a report's curve) comes after the scalars."""
+    if isinstance(obj, Design):
+        return {"m": obj.m, "n": obj.n, "omega": obj.omega}
+    items = [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+    return dict(sorted(items, key=lambda item: isinstance(item[1], tuple)))
+
+
+def _plain(x):
+    """x for JSON: each dataclass as its ``_fields``, each float rounded to 10
+    significant digits, locale independent."""
+    if is_dataclass(x):
+        x = _fields(x)
     if isinstance(x, float):
         return float(f"{x:.10g}")
     if isinstance(x, dict):
-        return {k: _sig10(v) for k, v in x.items()}
+        return {k: _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_sig10(v) for v in x]
+        return [_plain(v) for v in x]
     return x
 
 
 def _emit_json(data, path=None):
     """Write data as JSON to stdout, or to the file at ``path`` when given."""
-    text = json.dumps(_sig10(data), indent=2) + "\n"
+    text = json.dumps(_plain(data), indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in row])
-
-
-def _emit_rows(header, rows, path):
-    """Write rows as CSV to ``path`` when given, else print them as a JSON list."""
+def _emit_rows(header, rows, path, report=None):
+    """Write rows as CSV to ``path`` when given, then print ``report`` as JSON,
+    or, with neither, print the rows as a JSON list.  The CSV goes first, so
+    that a failed write prints nothing."""
     if path:
-        _write_csv(path, header, rows)
-    else:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([f"{v:.10g}" if isinstance(v, float) else v for v in row])
+    if report is not None:
+        _emit_json(report)
+    elif not path:
         _emit_json([dict(zip(header, row)) for row in rows])
 
 
@@ -118,26 +130,28 @@ def _add_spec_args(p):
     p.add_argument("--side", choices=SIDES, default=ONE_SIDED_UPPER)
 
 
-def _design_dict(d):
-    return {"m": d.m, "n": d.n, "omega": d.omega}
+def _add_design_args(p):
+    p.add_argument("--omega", type=float)
+    p.add_argument("--m", type=int)
+    p.add_argument("--n2", type=int, help="second group size (with --m)")
 
 
-def _mc_columns(F, G, point, alpha, side, trials, seed):
-    """Simulated exact-WMW power and its standard error at a curve point's design."""
-    plan = SimulationPlan(F, G, Design(point.m, point.n), alpha, side, trials=trials, seed=seed)
-    sim = simulate_power(plan, test="wmw_exact")
-    return [sim.rejection_rate, sim.standard_error]
-
-
-def _design_report_dict(report):
-    # explicit, because DesignReport's field order is not the JSON key order
-    return {
-        "optimal": _design_dict(report.optimal),
-        "optimal_power": report.optimal_power,
-        "deficiency_at_half": report.deficiency_at_half,
-        "epsilon": report.epsilon,
-        "power_curve": [asdict(p) for p in report.power_curve],
-    }
+def _curve_rows(F, G, total_n, alpha, side, grid, trials, seed):
+    """The header and rows of a power curve: omega, m, n and approximate power,
+    then, unless trials is None, the simulated exact-WMW power and its standard
+    error at each point's design."""
+    header = ["omega", "m", "n", "power_approx"]
+    if trials is not None:
+        header += ["power_mc", "mc_se"]
+    rows = []
+    for p in design_mod.power_curve(F, G, total_n, alpha=alpha, side=side, grid=grid):
+        row = [p.omega, p.m, p.n, p.power]
+        if trials is not None:
+            plan = SimulationPlan(F, G, Design(p.m, p.n), alpha, side, trials=trials, seed=seed)
+            sim = simulate_power(plan, test="wmw_exact")
+            row += [sim.rejection_rate, sim.standard_error]
+        rows.append(row)
+    return header, rows
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -146,8 +160,7 @@ def _design_report_dict(report):
 def _cmd_power(args):
     F, G = _load_specs(args)
     d = _resolve_design(args)
-    res = wmw_power(PowerQuery(F, G, d, args.alpha, args.side))
-    _emit_json({"design": _design_dict(d), **asdict(res)})
+    _emit_json({"design": d, **_fields(wmw_power(PowerQuery(F, G, d, args.alpha, args.side)))})
 
 
 def _cmd_optimal_design(args):
@@ -155,13 +168,8 @@ def _cmd_optimal_design(args):
     report = design_mod.optimal_design(
         F, G, args.n, alpha=args.alpha, side=args.side, epsilon=args.epsilon
     )
-    if args.out:  # first, so that a failed write prints nothing
-        _write_csv(
-            args.out,
-            ["omega", "m", "n", "power"],
-            [(p.omega, p.m, p.n, p.power) for p in report.power_curve],
-        )
-    _emit_json(_design_report_dict(report))
+    _emit_rows(["omega", "m", "n", "power"], [astuple(p) for p in report.power_curve],
+               args.out, report=report)
 
 
 def _cmd_power_curve(args):
@@ -174,13 +182,9 @@ def _cmd_power_curve(args):
             raise UsageError(f"--grid: {exc}") from exc
         if not grid:
             raise UsageError(f"--grid lists no allocation fraction: {args.grid!r}")
-    points = design_mod.power_curve(F, G, args.n, alpha=args.alpha, side=args.side, grid=grid)
-    header = ["omega", "m", "n", "power_approx"]
-    rows = [[p.omega, p.m, p.n, p.power] for p in points]
-    if args.mc_trials:
-        header += ["power_mc", "mc_se"]
-        for row, p in zip(rows, points):
-            row += _mc_columns(F, G, p, args.alpha, args.side, args.mc_trials, args.seed)
+    # --mc-trials 0, the default, adds no Monte Carlo columns
+    header, rows = _curve_rows(F, G, args.n, args.alpha, args.side, grid,
+                               args.mc_trials or None, args.seed)
     _emit_rows(header, rows, args.out)
 
 
@@ -209,9 +213,7 @@ def _cmd_exact_null(args):
     table = build_table(args.m, args.n)
     e0, var0 = null_moments(Design(args.m, args.n))
     cv = critical_value(table, args.alpha, "upper")
-    if args.out:  # first, so that a failed write prints nothing
-        _write_csv(args.out, ["u", "probability"], list(enumerate(table.pmf.tolist())))
-    _emit_json({
+    _emit_rows(["u", "probability"], enumerate(table.pmf.tolist()), args.out, report={
         "m": args.m,
         "n": args.n,
         "mean": float(table.exact_mean()),
@@ -228,14 +230,13 @@ def _cmd_simulate(args):
     F, G = _load_specs(args)
     d = _resolve_design(args)
     plan = SimulationPlan(F, G, d, args.alpha, args.side, trials=args.trials, seed=args.seed)
-    res = simulate_power(plan, test=args.test)
-    _emit_json({"design": _design_dict(d), **asdict(res)})
+    _emit_json({"design": d, **_fields(simulate_power(plan, test=args.test))})
 
 
 def _cmd_check_identities(args):
     F, G = _load_specs(args)
-    out = asdict(check_identities(F, G))
-    out.update(out.pop("summary"))
+    out = _fields(check_identities(F, G))
+    out.update(_fields(out.pop("summary")))
     _emit_json(out)
 
 
@@ -248,25 +249,21 @@ def _cmd_reproduce(args):
     if args.figure == "epping":
         sc = scenarios_mod.SCENARIOS["epping"][0]
         report = design_mod.optimal_design(sc.F, sc.G, sc.total_n, alpha=sc.alpha)
-        out = _design_report_dict(report)
-        # the second group holds the chi-square (recovery) distribution
-        out["omega_star_second_group"] = 1.0 - report.optimal.omega
-        out["scenario_version"] = scenarios_mod.SCENARIO_VERSION
-        _emit_json(out, args.out)
+        _emit_json({
+            **_fields(report),
+            # the second group holds the chi-square (recovery) distribution
+            "omega_star_second_group": 1.0 - report.optimal.omega,
+            "scenario_version": scenarios_mod.SCENARIO_VERSION,
+        }, args.out)
         return
 
     rows = []
     grid = [i / 10.0 for i in range(1, 10)]
     for sc in scenarios_mod.SCENARIOS[args.figure]:
-        for p in design_mod.power_curve(sc.F, sc.G, sc.total_n, alpha=sc.alpha, grid=grid):
-            rows.append([sc.name, p.omega, p.m, p.n, p.power,
-                         *_mc_columns(sc.F, sc.G, p, sc.alpha, ONE_SIDED_UPPER,
-                                      args.trials, args.seed)])
-    header = ["scenario", "omega", "m", "n", "power_approx", "power_mc", "mc_se"]
-    _emit_rows(header, rows, args.out)
-
-
-SCENARIOS_CHOICES = sorted(scenarios_mod.SCENARIOS) + ["deficiency"]
+        header, curve = _curve_rows(sc.F, sc.G, sc.total_n, sc.alpha, ONE_SIDED_UPPER, grid,
+                                    args.trials, args.seed)
+        rows += [[sc.name, *row] for row in curve]
+    _emit_rows(["scenario", *header], rows, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,9 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="approximate power at one design")
     _add_spec_args(p)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n2", type=int, help="second group size (with --m)")
+    _add_design_args(p)
     p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser("optimal-design", help="power-maximizing allocation")
@@ -315,9 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo power estimate")
     _add_spec_args(p)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n2", type=int)
+    _add_design_args(p)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--test", choices=TESTS, default="wmw_exact")
@@ -329,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_identities)
 
     p = sub.add_parser("reproduce", help="run a bundled scenario group")
-    p.add_argument("--figure", required=True, choices=SCENARIOS_CHOICES)
+    p.add_argument("--figure", required=True,
+                   choices=[*sorted(scenarios_mod.SCENARIOS), "deficiency"])
     p.add_argument("--seed", type=int, default=20160022)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--out", help="write CSV here instead of JSON to stdout "
@@ -344,7 +338,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (UsageError, ParameterError, ValueError, OSError) as exc:
+    # an OverflowError is a size too large to convert to float
+    except (UsageError, ParameterError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (QuadratureAccuracyError, AllocationSearchError) as exc:

@@ -13,7 +13,6 @@ from .exceedance import RESULT_TOL, second_moment_integrals
 
 def _is_int(value) -> bool:
     """An int or numpy integer, but not a bool."""
-    # exact type first: Design checks both sizes, and every scanned design builds one
     return type(value) is int or (isinstance(value, (int, np.integer))
                                   and not isinstance(value, bool))
 
@@ -40,8 +39,13 @@ class Design:
     n: int
 
     def __post_init__(self):
-        if not (_is_int(self.m) and _is_int(self.n)):
-            raise ValueError(f"group sizes must be ints, got m={self.m!r}, n={self.n!r}")
+        # exact type first: every scanned design builds one
+        if type(self.m) is not int or type(self.n) is not int:
+            if not (_is_int(self.m) and _is_int(self.n)):
+                raise ValueError(f"group sizes must be ints, got m={self.m!r}, n={self.n!r}")
+            # a numpy integer is stored as a Python int, so no result carries one
+            object.__setattr__(self, "m", int(self.m))
+            object.__setattr__(self, "n", int(self.n))
         if self.m < 1 or self.n < 1:
             raise ValueError(f"both group sizes must be >= 1, got m={self.m}, n={self.n}")
 

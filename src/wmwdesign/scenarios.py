@@ -23,16 +23,12 @@ class Scenario:
     alpha: float = 0.05
 
 
-def _panel_a() -> list[Scenario]:
-    return [
-        Scenario(f"normal_sd_{sd:g}", normal(0.75, sd), normal(0.0, 1.0))
-        for sd in (1 / 3, 1 / 2, 0.7, 1.0, 2.0, 3.0)
-    ]
-
-
 SCENARIOS: dict[str, list[Scenario]] = {
     # normal pairs with varied standard-deviation ratio
-    "panel-a": _panel_a(),
+    "panel-a": [
+        Scenario(f"normal_sd_{sd:g}", normal(0.75, sd), normal(0.0, 1.0))
+        for sd in (1 / 3, 1 / 2, 0.7, 1.0, 2.0, 3.0)
+    ],
     # varied total sample size, unequal variances
     "panel-b": [
         Scenario(f"normal_sd2_n{n}", normal(0.75, 2.0), normal(0.0, 1.0), total_n=n)

@@ -60,6 +60,9 @@ class SimulationPlan:
             raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
+        # a numpy integer is stored as a Python int, so no result carries one
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,18 @@ def test_total_below_two_is_usage_error(capsys, argv, n):
     assert err == f"error: total sample size N must be an int >= 2, got {n}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("power",), ("power-curve",), ("optimal-design",), ("deficiency", "--omega", "0.5"),
+    ("simulate",),
+], ids=" ".join)
+def test_total_past_the_float_range_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD,
+                         "--n", "1" + "0" * 400)
+    assert code == 1
+    assert out == ""
+    assert err == "error: int too large to convert to float\n"
+
+
 def test_deficiency_general(capsys):
     code, out, _ = run(
         capsys, "deficiency", "--omega", "0.5", "--f-spec", NORMAL_SHIFTED,

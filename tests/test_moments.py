@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,12 +9,19 @@ import pytest
 from wmwdesign import (
     ConfigurationError,
     Design,
+    PowerQuery,
+    SimulationPlan,
     alt_moments,
     exponential,
     normal,
     null_moments,
+    optimal_design,
+    power_curve,
     prob_x_ge_y,
+    simulate_power,
     standardized_mean_symmetric,
+    welch_power,
+    wmw_power,
 )
 
 
@@ -35,6 +44,39 @@ def test_design_validation_and_omega():
     assert Design(np.int64(3), 7) == d
     with pytest.raises(ValueError):
         Design(0, 5)
+
+
+def _results(integer):
+    """The results of six calls whose sizes, totals and trials are made by ``integer``."""
+    F, G = normal(0.75, 1), normal(0, 1)
+    d = Design(integer(25), integer(25))
+    plan = SimulationPlan(F, G, d, trials=integer(200), seed=integer(3))
+    return {
+        "optimal_design": optimal_design(F, G, integer(50)),
+        "power_curve": power_curve(F, G, integer(50), grid=[0.3, 0.5]),
+        "wmw_power": wmw_power(PowerQuery(F, G, d)),
+        "welch_power": welch_power(0.75, 1.0, 0.0, 1.0, d),
+        "simulate_power": simulate_power(plan),
+        "from_total": Design.from_total(integer(51), 0.5),
+    }
+
+
+def test_numpy_integer_inputs_give_results_of_python_ints_and_bools():
+    # Design and SimulationPlan store a numpy integer as a Python int, so a
+    # result's group sizes, trials and flags are plain and json.dumps takes it
+    def plain(value):
+        if isinstance(value, (dict, list, tuple)):
+            values = value.values() if isinstance(value, dict) else value
+            return all(plain(v) for v in values)
+        return isinstance(value, (float, str, type(None))) or type(value) in (int, bool)
+
+    python, numpy = _results(int), _results(np.int64)
+    for name, result in numpy.items():
+        fields = ([dataclasses.asdict(p) for p in result] if isinstance(result, list)
+                  else dataclasses.asdict(result))
+        json.dumps(fields)
+        assert plain(fields), name
+        assert result == python[name], name
 
 
 @pytest.mark.parametrize("size", [2.5, True, math.nan, np.float64(3.0), "3"],
