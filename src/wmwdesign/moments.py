@@ -21,9 +21,10 @@ class ConfigurationError(ValueError):
     """A total N that is not an int >= 2, a bad epsilon, or an empty search grid."""
 
 
-def _check_total(total_n):
+def _check_total(total_n) -> int:
     if not (_is_int(total_n) and total_n >= 2):
         raise ConfigurationError(f"total sample size N must be an int >= 2, got {total_n!r}")
+    return int(total_n)  # a numpy integer N would make results numpy floats
 
 
 def _check_omega(omega):
@@ -145,7 +146,7 @@ def standardized_mean_symmetric(omega: float, total_n: int, p: float) -> float:
     G(x) = F(x + a) the standardized mean collapses to
     sqrt(omega (1-omega)) N (p - 1/2) / sqrt((N+1)/12).
     """
-    _check_total(total_n)
+    total_n = _check_total(total_n)
     _check_omega(omega)
     return (
         math.sqrt(omega * (1.0 - omega))

@@ -186,6 +186,7 @@ def _deficiency_search(powers, total_n: int, omega: float, target: float) -> flo
     reaches the target, as in a walk one total at a time.  Callers check omega
     in (0, 1) before they scan their grid for the target.
     """
+    total_n = int(total_n)  # checked by the caller's _grid; a numpy integer gives numpy floats
     last = CAP_FACTOR * total_n
     for start in range(total_n, last + 1, CHUNK):
         t = np.arange(start, min(start + CHUNK, last + 1))

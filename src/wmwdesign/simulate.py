@@ -185,15 +185,15 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
             yield x, plan.G.sample(rng, (len(x), n))
 
     # Each block's draws are one stream, taken a chunk at a time under the
-    # block's lock.  Steps are keyed (block, step) in one-thread order: chunk
-    # k's draw is step 2k + 1 and its statistic step 2k + 2.  A step runs
-    # only below every key that has failed ((-1, 0) once interrupted), so no
-    # block above the lowest failing one starts.  A thread computes only the
-    # chunks it drew, so every step below the lowest failure still runs and
-    # the lowest key's error is found.
+    # block's lock.  Chunk k's draw and statistic share the key (block, k): at
+    # most one of them fails, and both come before chunk k + 1's draw.  A step
+    # runs only below every failed key ((-1, 0) once interrupted), so no block
+    # above the lowest failing one starts.  A thread computes only the chunks
+    # it drew, so every step below the lowest failure still runs and the
+    # lowest key's error is found.
     streams = [draws(block) for block in blocks]
     locks = [threading.Lock() for _ in blocks]
-    steps = [1] * len(blocks)  # each block's next draw step
+    chunks = [0] * len(blocks)  # each block's next chunk
     errors = []  # (key, error) of each failed step
 
     def stopped(key):
@@ -209,11 +209,10 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
             while True:
                 try:
                     with locks[block]:
-                        key = (block, steps[block])
+                        key = (block, chunks[block])
                         if stopped(key) or (chunk := next(streams[block], None)) is None:
                             break
-                        steps[block] += 2
-                    key = (block, key[1] + 1)
+                        chunks[block] += 1
                     if stopped(key):
                         break
                     stat, threshold = statistic(*chunk)

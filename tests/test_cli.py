@@ -349,6 +349,17 @@ def test_deficiency_search_failure_is_numeric_exit(capsys):
     assert err.count("\n") == 1
 
 
+def test_distribution_too_narrow_for_its_location_is_numeric_exit(capsys):
+    code, out, err = run(
+        capsys, "power", "--f-spec", '{"family":"normal","params":{"mean":1e300,"sd":1}}',
+        "--g-spec", NORMAL_STD, "--n", "50",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure:")
+    assert "too narrow for its location" in err
+
+
 def test_simulate_t_test_group_of_one_is_usage_error(capsys):
     code, out, err = run(
         capsys, "simulate", "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD,

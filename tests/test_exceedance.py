@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -299,8 +300,8 @@ def _reference_integrals(F, G):
     i1, e2 = weighted_quad(lambda x: G.cdf(x) ** 2 * F.pdf(x), F)
     i2, e3 = weighted_quad(lambda x: (1.0 - F.cdf(x)) ** 2 * G.pdf(x), G)
     f2g, _ = weighted_quad(lambda x: F.cdf(x) ** 2 * G.pdf(x), G)
-    clip = exceedance._clip_unit
-    return ExceedanceSummary(clip(p), clip(i1), clip(i2), max(e1, e2, e3)), f2g
+    clip = [min(1.0, max(0.0, x)) for x in (p, i1, i2)]
+    return ExceedanceSummary(*clip, max(e1, e2, e3)), f2g
 
 
 def _pair_id(pair):
@@ -460,3 +461,57 @@ def test_cold_integrals_and_sampling_create_no_frozen_scipy_object(monkeypatch):
     rng = np.random.default_rng(0)
     for spec in (F, G, normal(0.0321, 1.9), exponential(0.613), chi_square(3.37)):
         spec.sample(rng, (4, 3))
+
+
+def test_cold_integrals_leave_the_warning_filters_and_registries_alone():
+    # QUADPACK's status comes from full_output, so a cold pair neither
+    # rewrites the process's filter list nor invalidates the registry that
+    # shows a "default"-action warning once per line
+    second_moment_integrals.__wrapped__(normal(0.111, 1.0), normal(0.0, 1.0))  # imports done
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        filters = list(warnings.filters)
+        for shift in (0.211, 0.311, 0.411):
+            warnings.warn("one line, shown once", UserWarning)
+            second_moment_integrals.__wrapped__(normal(shift, 1.3), normal(0.0, 1.0))
+        assert warnings.filters == filters
+    assert [str(w.message) for w in caught] == ["one line, shown once"]
+
+
+# Each pair's first domain holds few floats.  Without the domain check the
+# quadrature answered under bounds <= 1e-10 with P(X >= Y) = 1.0 (closed form
+# Phi(1) = 0.841), 0.0 (0.9987), 1.0 (0.691), 0.0 (1; optimal_design at N = 50
+# then picked 45/5 with power 0.050) and a value 3.1e-8 off
+NARROW_PAIRS = [
+    (normal(1e9, 1e-8), normal(1e9 - 1.0, 1.0)),
+    (normal(3.0, 1e-17), normal(0.0, 1.0)),
+    (log_normal(0.0, 1e-17), log_normal(-0.5, 1.0)),
+    (normal(1e300, 1.0), normal(0.0, 1.0)),
+    (normal(1e3, 1e-6), normal(999.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("pair", NARROW_PAIRS, ids=_pair_id)
+def test_a_weight_too_narrow_for_its_location_raises(pair):
+    for integrals in (second_moment_integrals, check_identities):
+        with pytest.raises(QuadratureAccuracyError, match="too narrow for its location"):
+            integrals(*pair)
+
+
+@pytest.mark.parametrize("mu", [1.0, 37.0, 1e3, 1e6, 1e9, 1e12])
+def test_narrow_normals_raise_or_meet_the_closed_form(mu):
+    # normal(mu, s) vs normal(mu - 1.3 s, 0.9 s) with s = mu 10^-k: P(X >= Y)
+    # is Phi(1.3 / sqrt(1.81)) at every mu and s, and the domain of F holds
+    # about 6e11 floats at k = 5, 6e6 at k = 10
+    exact = normal_exceedance_oracle(1.3, 1.0, 0.0, 0.9)
+    outcomes = []
+    for k in (5.0 + i / 4.0 for i in range(21)):
+        s = mu * 10.0 ** -k
+        try:
+            p = second_moment_integrals(normal(mu, s), normal(mu - 1.3 * s, 0.9 * s)).p_x_ge_y
+        except QuadratureAccuracyError:
+            outcomes.append("raised")
+            continue
+        assert abs(p - exact) <= exceedance.RESULT_TOL, (k, p)
+        outcomes.append("met")
+    assert outcomes[0] == "met" and outcomes[-4:] == ["raised"] * 4

@@ -12,6 +12,7 @@ from wmwdesign import (
     PowerQuery,
     SimulationPlan,
     alt_moments,
+    deficiency_general,
     exponential,
     normal,
     null_moments,
@@ -20,6 +21,7 @@ from wmwdesign import (
     prob_x_ge_y,
     simulate_power,
     standardized_mean_symmetric,
+    welch_deficiency,
     welch_power,
     wmw_power,
 )
@@ -61,14 +63,27 @@ def _results(integer):
     }
 
 
+def _scalars(integer):
+    """The float answers of four calls whose total N is made by ``integer``."""
+    F, G, total = normal(0.75, 0.5), normal(0, 1), integer(50)
+    return {
+        "deficiency_at_half": optimal_design(F, G, total).deficiency_at_half,
+        "deficiency_general": deficiency_general(F, G, total, 0.3),
+        "welch_deficiency": welch_deficiency(0.75, 0.5, 0.0, 1.0, total, 0.3),
+        "standardized_mean_symmetric": standardized_mean_symmetric(0.3, total, 0.7),
+    }
+
+
 def test_numpy_integer_inputs_give_results_of_python_ints_and_bools():
-    # Design and SimulationPlan store a numpy integer as a Python int, so a
-    # result's group sizes, trials and flags are plain and json.dumps takes it
+    # Design and SimulationPlan store a numpy integer as a Python int, and a
+    # checked total N is one, so a result's group sizes, trials, flags and
+    # floats are plain and json.dumps takes it; types are compared exactly,
+    # because a numpy float is a float subclass that json.dumps takes too
     def plain(value):
         if isinstance(value, (dict, list, tuple)):
             values = value.values() if isinstance(value, dict) else value
             return all(plain(v) for v in values)
-        return isinstance(value, (float, str, type(None))) or type(value) in (int, bool)
+        return type(value) in (int, bool, float, str, type(None))
 
     python, numpy = _results(int), _results(np.int64)
     for name, result in numpy.items():
@@ -77,6 +92,9 @@ def test_numpy_integer_inputs_give_results_of_python_ints_and_bools():
         json.dumps(fields)
         assert plain(fields), name
         assert result == python[name], name
+    python, numpy = _scalars(int), _scalars(np.int64)
+    for name, value in numpy.items():
+        assert type(value) is float and value.hex() == python[name].hex(), name
 
 
 @pytest.mark.parametrize("size", [2.5, True, math.nan, np.float64(3.0), "3"],

@@ -268,6 +268,7 @@ def test_simulate_power_row_chunks_match_oracle(monkeypatch, test, m, n, integer
         np.testing.assert_array_equal(np.concatenate(u_chunks), broadcast)
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("test", simulate_mod.TESTS)
 @pytest.mark.parametrize("F,G", [
     pytest.param(normal(0.1, 1.0), normal(0.0, 1.0), id="normal"),
@@ -328,6 +329,7 @@ def _hex(result):
             result.trials, result.fell_back_to_normal)
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("test", simulate_mod.TESTS)
 @pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
 def test_result_does_not_depend_on_the_number_of_cpus(monkeypatch, test, side):
@@ -347,6 +349,7 @@ def test_result_does_not_depend_on_the_number_of_cpus(monkeypatch, test, side):
         assert results.pop()[0] == (_oracle_rejections(plan, test) / trials).hex()
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("tests,fails,scale,trials,message", [
     # only block 1: a pool thread's block whenever there are two CPUs or more
     pytest.param(["wmw_exact"], [1], 1.0, 4097, "no draws in block 1", id="block-1"),
@@ -380,6 +383,7 @@ def test_errors_do_not_depend_on_the_number_of_cpus(monkeypatch, tests, fails, s
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("cpus,trials,rows,threads", [
     (8, 2048, None, 0),  # one block of one chunk: none, however many CPUs
     (1, 9000, None, 0),  # one CPU: none, however many blocks
@@ -415,6 +419,7 @@ def _chunks_per_block(monkeypatch, rows, design):
     monkeypatch.setattr(simulate_mod, "MERGE_BUDGET", rows * (design.m + design.n))
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("test", simulate_mod.TESTS)
 @pytest.mark.parametrize("side", ["one_sided_upper", TWO_SIDED])
 def test_result_with_several_chunks_per_block_does_not_depend_on_the_number_of_cpus(
@@ -462,6 +467,7 @@ def _no_draws(draws):
     raise ValueError("no draws")
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("test", ["t_hom", "t_het"])
 @pytest.mark.parametrize("block,k", [(0, 0), (1, 3), (3, 5)])
 def test_a_statistic_error_comes_before_the_next_chunks_draw_error(monkeypatch, test, block, k):
@@ -486,6 +492,7 @@ def test_a_statistic_error_comes_before_the_next_chunks_draw_error(monkeypatch, 
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("error", [KeyError("no table"), KeyboardInterrupt()],
                          ids=["error", "interrupt"])
 @pytest.mark.parametrize("cpus", [2, 3, 8])
@@ -511,6 +518,7 @@ def test_a_failed_set_up_starts_no_thread_and_draws_nothing(monkeypatch, error, 
     assert threading.active_count() == before
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_each_thread_holds_at_most_one_drawn_row_chunk(monkeypatch, cpus):
     # four blocks of seven 300-row chunks and a slowed U kernel, so drawing
@@ -592,6 +600,7 @@ def _caller_fails_in_block_2_first():
     return {1: lambda: caller_failed.wait(timeout=60) and _fail(1)(), 2: fail_2}
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("hooks,error,message,drawn", [
     (_helper_fails_in_block_1, ValueError, "no draws in block 1", [0, 1]),
     (_caller_is_interrupted_in_block_0, KeyboardInterrupt, None, [0, 1]),
