@@ -16,6 +16,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .moments import _count
+
 MAX_TABLE_ENTRIES = 1_000_000
 
 
@@ -71,7 +73,8 @@ def _check_exact_alpha(alpha: float):
         raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
 
 
-@lru_cache(maxsize=64)
+# typed: build_table(True, 3) or (3.0, 3) must not find the table of (1, 3) or (3, 3)
+@lru_cache(maxsize=64, typed=True)
 def build_table(m: int, n: int, max_entries: int = MAX_TABLE_ENTRIES) -> ExactNullTable:
     """Exact pmf of U under the null from its generating function.
 
@@ -82,8 +85,7 @@ def build_table(m: int, n: int, max_entries: int = MAX_TABLE_ENTRIES) -> ExactNu
     coefficients: the multiply is one shifted subtraction and the divide a
     cumulative sum with stride i.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"m and n must be >= 1, got m={m}, n={n}")
+    m, n = _count(m, 1, "m"), _count(n, 1, "n")
     if m * n + 1 > max_entries:
         raise TableSizeError(
             f"table for m={m}, n={n} needs {m * n + 1} entries, limit {max_entries}"

@@ -11,10 +11,15 @@ from .distributions import DistributionSpec
 from .exceedance import RESULT_TOL, second_moment_integrals
 
 
-def _is_int(value) -> bool:
-    """An int or numpy integer, but not a bool."""
-    return type(value) is int or (isinstance(value, (int, np.integer))
-                                  and not isinstance(value, bool))
+def _count(value, least: int, what: str, error=ValueError) -> int:
+    """An int or numpy integer, not a bool, that is >= least, as a Python int.
+
+    The one rule for every count: group sizes, totals, trials, seeds and
+    exact table sizes.  A numpy integer would make results numpy scalars.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise error(f"{what} must be an int >= {least}, got {value!r}")
 
 
 class ConfigurationError(ValueError):
@@ -22,9 +27,7 @@ class ConfigurationError(ValueError):
 
 
 def _check_total(total_n) -> int:
-    if not (_is_int(total_n) and total_n >= 2):
-        raise ConfigurationError(f"total sample size N must be an int >= 2, got {total_n!r}")
-    return int(total_n)  # a numpy integer N would make results numpy floats
+    return _count(total_n, 2, "total sample size N", ConfigurationError)
 
 
 def _check_omega(omega):
@@ -41,14 +44,9 @@ class Design:
 
     def __post_init__(self):
         # exact type first: every scanned design builds one
-        if type(self.m) is not int or type(self.n) is not int:
-            if not (_is_int(self.m) and _is_int(self.n)):
-                raise ValueError(f"group sizes must be ints, got m={self.m!r}, n={self.n!r}")
-            # a numpy integer is stored as a Python int, so no result carries one
-            object.__setattr__(self, "m", int(self.m))
-            object.__setattr__(self, "n", int(self.n))
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"both group sizes must be >= 1, got m={self.m}, n={self.n}")
+        if type(self.m) is not int or type(self.n) is not int or self.m < 1 or self.n < 1:
+            object.__setattr__(self, "m", _count(self.m, 1, "group size m"))
+            object.__setattr__(self, "n", _count(self.n, 1, "group size n"))
 
     @property
     def total_n(self) -> int:
@@ -61,7 +59,7 @@ class Design:
     @classmethod
     def from_total(cls, total_n: int, omega: float) -> "Design":
         """Nearest realizable design to allocation fraction omega in (0, 1)."""
-        _check_total(total_n)
+        total_n = _check_total(total_n)
         _check_omega(omega)
         m = int(round(omega * total_n))
         m = min(max(m, 1), total_n - 1)

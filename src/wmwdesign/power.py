@@ -140,7 +140,7 @@ def _grid(total_n: int, epsilon: float, smallest: int = 1) -> list[Design]:
 
     A total N that is not an int >= 2, a bad epsilon or no design is a ConfigurationError.
     """
-    _check_total(total_n)
+    total_n = _check_total(total_n)
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ConfigurationError(f"epsilon must be finite and >= 0, got {epsilon}")
     lo = max(smallest, math.ceil(epsilon * total_n))

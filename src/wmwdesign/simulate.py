@@ -8,9 +8,11 @@ then Y in row chunks of MERGE_BUDGET values; the generator fills arrays in C
 order, so the chunks take exactly the draws of one call.  Each chunk goes in
 one pass to its statistic, critical value and rejection count.
 
-The work runs on w = min(usable CPUs, row chunks) threads, so a plan with one
-row chunk or a one-CPU host starts no thread.  Each block's draws are one
-stream behind its own lock.  A thread pulls chunks from its own blocks
+The work runs on the calling thread and w - 1 pool tasks, w = min(usable
+CPUs, row chunks), so at most one thread per CPU: a pool thread that has
+finished its task takes the next, and a plan with one row chunk or a
+one-CPU host starts no thread.  Each block's draws are one stream behind
+its own lock.  A thread pulls chunks from its own blocks
 (owner, owner + w, ...; the calling thread is owner 0), then from every
 block in order: it takes the next chunk under the lock and computes that
 chunk's statistic itself, leaving a block only once its stream is exhausted
@@ -31,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import DistributionSpec
 from .exact_null import MAX_TABLE_ENTRIES, _check_exact_alpha, build_table, critical_value
-from .moments import Design, _is_int, null_moments
-from .power import ONE_SIDED_UPPER, _check_alpha, _check_side, _welch_df
+from .moments import _count, null_moments
+from .power import ONE_SIDED_UPPER, PowerQuery, _welch_df
 
 TESTS = ("wmw_exact", "wmw_normal", "t_hom", "t_het")
 BLOCK_TRIALS = 2048
@@ -44,25 +45,16 @@ MERGE_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
-class SimulationPlan:
-    F: DistributionSpec
-    G: DistributionSpec
-    design: Design
-    alpha: float = 0.05
-    side: str = ONE_SIDED_UPPER
+class SimulationPlan(PowerQuery):
+    """A power query plus the number of Monte Carlo trials and their seed."""
+
     trials: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
-        _check_side(self.side)
-        if not _is_int(self.trials) or self.trials < 1:
-            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
-        # a numpy integer is stored as a Python int, so no result carries one
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        super().__post_init__()
+        object.__setattr__(self, "trials", _count(self.trials, 1, "trials"))
+        object.__setattr__(self, "seed", _count(self.seed, 0, "seed"))
 
 
 @dataclass(frozen=True)
@@ -80,14 +72,18 @@ def compute_u(xs, ys) -> int:
     Equal values count as exceedances (x >= y contributes 1), with no
     midrank correction; ties have measure zero for continuous generators.
     NaN is unordered, so a sample holding one is rejected; ±inf is counted.
+    Each sample is a scalar or one-dimensional.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if xs.ndim > 1 or ys.ndim > 1:
+        raise ValueError(f"samples must be scalars or one-dimensional, got shapes "
+                         f"{xs.shape} and {ys.shape}")
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be nonempty")
     if np.isnan(xs).any() or np.isnan(ys).any():
         raise ValueError("samples must not contain NaN")
-    return int(np.searchsorted(np.sort(ys), xs, side="right").sum())
+    return int(np.searchsorted(np.sort(ys, axis=None), xs, side="right").sum())
 
 
 def _u_matrix(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -186,11 +182,13 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
 
     # Each block's draws are one stream, taken a chunk at a time under the
     # block's lock.  Chunk k's draw and statistic share the key (block, k): at
-    # most one of them fails, and both come before chunk k + 1's draw.  A step
-    # runs only below every failed key ((-1, 0) once interrupted), so no block
-    # above the lowest failing one starts.  A thread computes only the chunks
-    # it drew, so every step below the lowest failure still runs and the
-    # lowest key's error is found.
+    # most one of them fails, and both come before chunk k + 1's draw.  A chunk
+    # is drawn only below every failed key ((-1, 0) once interrupted), so no
+    # block above the lowest failing one starts; a chunk drawn before a lower
+    # failure still computes its statistic, but its error has a higher key and
+    # its count is discarded.  A thread computes only the chunks it drew, so
+    # every step below the lowest failure still runs and the lowest key's
+    # error is found.
     streams = [draws(block) for block in blocks]
     locks = [threading.Lock() for _ in blocks]
     chunks = [0] * len(blocks)  # each block's next chunk
@@ -213,8 +211,6 @@ def simulate_power(plan: SimulationPlan, test: str = "wmw_exact") -> SimulationR
                         if stopped(key) or (chunk := next(streams[block], None)) is None:
                             break
                         chunks[block] += 1
-                    if stopped(key):
-                        break
                     stat, threshold = statistic(*chunk)
                 except Exception as error:
                     errors.append((key, error))

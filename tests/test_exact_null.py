@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,19 @@ def test_minimal_tables():
     assert build_table(1, 1).counts == (1, 1)
     t = build_table(2, 2)
     np.testing.assert_allclose(t.pmf, [1 / 6, 1 / 6, 2 / 6, 1 / 6, 1 / 6])
+
+
+@pytest.mark.parametrize("size", [True, 2.5, "3", 0], ids=["bool", "float", "str", "zero"])
+def test_build_table_rejects_sizes_that_are_not_ints_from_1(size):
+    # before and after the table of (1, 3) is cached: True == 1 and 3.0 == 3
+    # hash alike, so an untyped cache would hand back that table
+    build_table.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(f"m must be an int >= 1, got {size!r}")):
+            build_table(size, 3)
+        with pytest.raises(ValueError, match=re.escape(f"n must be an int >= 1, got {size!r}")):
+            build_table(3, size)
+        build_table(1, 3), build_table(3, 1)
 
 
 def test_table_matches_enumeration_small():

@@ -433,6 +433,22 @@ def test_chi_square_pair_with_two_singular_edges_meets_its_identities():
     assert report.nested_residual <= 3 * exceedance.RESULT_TOL
 
 
+@pytest.mark.parametrize("df", [
+    pytest.param(0.05, marks=pytest.mark.xfail(
+        strict=True, reason="F's domain spans 150 decades: p is 0.199 under a bound of 5.9e-12")),
+    pytest.param(0.2, marks=pytest.mark.xfail(
+        strict=True, reason="F's domain spans 150 decades: p is 0.4990 under a bound of 5.3e-12")),
+])
+def test_student_t_with_a_tiny_df_is_symmetric_about_its_partner_or_raises(df):
+    # both are symmetric about 0, so P(X >= Y) is 1/2 exactly; the x-space
+    # quadrature cannot resolve mass spread over +-1.5e153 (df 0.1 raises)
+    try:
+        s = second_moment_integrals(student_t(df, 0, 1), normal(0, 1))
+    except QuadratureAccuracyError:
+        return
+    assert abs(s.p_x_ge_y - 0.5) <= exceedance.RESULT_TOL
+
+
 def test_cold_pair_makes_two_quantile_calls_of_13_levels(monkeypatch):
     # two domain ends and eleven guide quantiles per spec, in one array call
     # each for all three integrals (the per-integral path made 72 calls)

@@ -12,6 +12,7 @@ from wmwdesign import (
     PowerQuery,
     SimulationPlan,
     alt_moments,
+    build_table,
     deficiency_general,
     exponential,
     normal,
@@ -75,8 +76,8 @@ def _scalars(integer):
 
 
 def test_numpy_integer_inputs_give_results_of_python_ints_and_bools():
-    # Design and SimulationPlan store a numpy integer as a Python int, and a
-    # checked total N is one, so a result's group sizes, trials, flags and
+    # Design, SimulationPlan and build_table store a numpy integer as a Python
+    # int, and a checked total N is one, so a result's group sizes, trials, flags and
     # floats are plain and json.dumps takes it; types are compared exactly,
     # because a numpy float is a float subclass that json.dumps takes too
     def plain(value):
@@ -95,14 +96,20 @@ def test_numpy_integer_inputs_give_results_of_python_ints_and_bools():
     python, numpy = _scalars(int), _scalars(np.int64)
     for name, value in numpy.items():
         assert type(value) is float and value.hex() == python[name].hex(), name
+    # an exact table of numpy sizes is its own cache entry, with Python-int
+    # sizes, whichever call comes first
+    build_table.cache_clear()
+    table = build_table(np.int64(30), 25)
+    assert (type(table.m), type(table.n)) == (int, int)
+    assert table == build_table(30, 25)
 
 
 @pytest.mark.parametrize("size", [2.5, True, math.nan, np.float64(3.0), "3"],
                          ids=["float", "bool", "nan", "np.float64", "str"])
 def test_design_rejects_group_sizes_that_are_not_ints(size):
-    with pytest.raises(ValueError, match="group sizes must be ints"):
+    with pytest.raises(ValueError, match=r"group size m must be an int >= 1, got "):
         Design(size, 5)
-    with pytest.raises(ValueError, match="group sizes must be ints"):
+    with pytest.raises(ValueError, match=r"group size n must be an int >= 1, got "):
         Design(5, size)
 
 

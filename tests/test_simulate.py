@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import sys
 import threading
 import time
@@ -14,6 +16,7 @@ from scipy import stats
 import wmwdesign.simulate as simulate_mod
 from wmwdesign import (
     Design,
+    PowerQuery,
     SimulationPlan,
     TWO_SIDED,
     build_table,
@@ -50,6 +53,24 @@ def test_compute_u_complement():
         xs = rng.normal(size=8)
         ys = rng.normal(size=8)
         assert compute_u(xs, ys) + compute_u(ys, xs) == 64
+
+
+@pytest.mark.parametrize("xs,ys", [
+    (np.array([[1.0, 2.0], [3.0, 4.0]]), [2.5]),
+    ([2.5], np.array([[1.0, 2.0], [3.0, 4.0]])),
+    (np.ones((1, 1, 1)), np.ones(3)),
+], ids=["2-d xs", "2-d ys", "3-d xs"])
+def test_compute_u_rejects_samples_that_are_not_one_dimensional(xs, ys):
+    # a 2-d xs used to give U pooled over its rows
+    shapes = f"{np.shape(xs)} and {np.shape(ys)}"
+    with pytest.raises(ValueError, match=re.escape(f"one-dimensional, got shapes {shapes}")):
+        compute_u(xs, ys)
+
+
+def test_compute_u_takes_scalar_samples():
+    assert compute_u(1.0, [0.5, 2.0]) == 1
+    assert compute_u([1.0, 3.0], 2.0) == 1
+    assert compute_u(2.0, 2.0) == 1
 
 
 def test_compute_u_rejects_empty():
@@ -395,14 +416,31 @@ def test_errors_do_not_depend_on_the_number_of_cpus(monkeypatch, tests, fails, s
 ])
 def test_pool_threads_start_for_a_second_row_chunk_and_cpu(monkeypatch, cpus, trials, rows,
                                                             threads):
+    # A pool reuses a thread that has finished its task, so a helper that
+    # finishes every chunk before the next submit would leave that submit
+    # without a thread of its own: each statistic waits until the expected
+    # threads have started, or for at most 10 s.
     started = []
     start = threading.Thread.start
+    enough = threading.Event()
 
     def counted_start(thread):
         started.append(thread)
         start(thread)
+        if len(started) >= threads:
+            enough.set()
 
+    u_matrix = simulate_mod._u_matrix
+
+    def waiting_u_matrix(X, Y):
+        if not enough.wait(timeout=10):
+            enough.set()  # too few threads: the count below fails, without further waits
+        return u_matrix(X, Y)
+
+    if threads == 0:
+        enough.set()
     monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(simulate_mod, "_u_matrix", waiting_u_matrix)
     monkeypatch.setattr(simulate_mod, "_usable_cpus", lambda: cpus)
     design = Design(7, 9)
     if rows is not None:
@@ -631,8 +669,22 @@ def test_usable_cpus_is_the_affinity_set_or_the_cpu_count(monkeypatch):
 ])
 def test_plan_rejects_bad_seed(field, value):
     kwargs = {"trials": 10, "seed": 0, field: value}
-    with pytest.raises(ValueError, match=field):
+    message = f"{field} must be an int >= {1 if field == 'trials' else 0}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         SimulationPlan(normal(0, 1), normal(0, 1), Design(5, 5), **kwargs)
+
+
+def test_plan_is_a_power_query_plus_trials_and_seed():
+    assert SimulationPlan.__annotations__.keys() == {"trials", "seed"}
+    names = [f.name for f in dataclasses.fields(SimulationPlan)]
+    assert names == [f.name for f in dataclasses.fields(PowerQuery)] + ["trials", "seed"]
+    plan = SimulationPlan(normal(0, 1), normal(0, 1), Design(5, 5), 0.1, TWO_SIDED, 10, 3)
+    assert isinstance(plan, PowerQuery)
+    assert (plan.alpha, plan.side, plan.trials, plan.seed) == (0.1, TWO_SIDED, 10, 3)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got 1.5"):
+        SimulationPlan(normal(0, 1), normal(0, 1), Design(5, 5), alpha=1.5)
+    with pytest.raises(ValueError, match="side must be one of"):
+        SimulationPlan(normal(0, 1), normal(0, 1), Design(5, 5), side="lower")
 
 
 def test_null_size_control_exact_rule():
