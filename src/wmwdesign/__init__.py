@@ -25,7 +25,7 @@ from .exceedance import (
     prob_x_ge_y,
     second_moment_integrals,
 )
-from .moments import Design, MomentSummary, alt_moments, null_moments, standardized_mean_symmetric
+from .moments import Design, MomentSummary, alt_moments, null_moments
 from .power import (
     ONE_SIDED_UPPER,
     TWO_SIDED,
@@ -82,7 +82,6 @@ __all__ = [
     "prob_x_ge_y",
     "second_moment_integrals",
     "simulate_power",
-    "standardized_mean_symmetric",
     "student_t",
     "welch_deficiency",
     "welch_optimal_omega",

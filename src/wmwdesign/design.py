@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .distributions import DistributionSpec
-from .moments import Design, _check_total, _group_sizes
+from .moments import Design, _check_total
 from .power import ONE_SIDED_UPPER, _deficiency_search, _grid, _wmw_powers
 from .power import wmw_power  # noqa: F401  kept as design.wmw_power for perfbench/spans.py
 
@@ -37,14 +37,15 @@ def optimal_design(F: DistributionSpec, G: DistributionSpec, total_n: int,
     costs one quadrature triple regardless of grid size.
     """
     powers = _wmw_powers(F, G, alpha, side)
-    designs = _grid(total_n, epsilon)
-    m, n = _group_sizes(designs)
+    m, n = _grid(total_n, epsilon)
     # one powers call per design, not one pass: a one-pass scan took the
     # benchmark's design_warm peak_rss_mb from 111.3 to 146.9 MB, past its 10%
     # bound, because its worker keeps every answer until its loop ends.  Once
-    # ROADMAP direction 1 fixes the worker, the scan is powers(m, n).tolist()
-    curve = [CurvePoint(d.omega, d.m, d.n, powers(m[i:i + 1], n[i:i + 1]).item())
-             for i, d in enumerate(designs)]
+    # ROADMAP direction 1 fixes the worker, the scan is powers(m, n).tolist().
+    # omega a / (a + b) on Python ints is Design.omega bitwise; numpy's m / N
+    # rounds twice once N passes 2**53
+    curve = [CurvePoint(a / (a + b), a, b, powers(m[i:i + 1], n[i:i + 1]).item())
+             for i, (a, b) in enumerate(zip(m.tolist(), n.tolist()))]
     best = max(curve, key=lambda p: (p.power, -abs(p.omega - 0.5), -p.m))
     deficiency = None
     if compute_deficiency:
@@ -61,13 +62,17 @@ def power_curve(F: DistributionSpec, G: DistributionSpec, total_n: int,
     The powers of all the curve's designs come from one ``_wmw_powers`` pass,
     bitwise equal to ``wmw_power``'s one design at a time.  N, alpha and
     side are checked first, then every omega of the grid, all before any
-    quadrature; an empty grid takes no integrals.
+    quadrature; an empty grid takes no integrals.  With no grid the curve
+    walks every split of N.
     """
     _check_total(total_n)  # an empty grid still rejects a bad N
     powers = _wmw_powers(F, G, alpha, side)
-    designs = (_grid(total_n, 0.0) if grid is None
-               else [Design.from_total(total_n, omega) for omega in grid])
-    if not designs:
+    if grid is None:
+        m, n = (column.tolist() for column in _grid(total_n, 0.0))
+    else:
+        designs = [Design.from_total(total_n, omega) for omega in grid]
+        m, n = [d.m for d in designs], [d.n for d in designs]
+    if not m:
         return []
-    return [CurvePoint(d.omega, d.m, d.n, power)
-            for d, power in zip(designs, powers(*_group_sizes(designs)).tolist())]
+    return [CurvePoint(a / (a + b), a, b, power)
+            for a, b, power in zip(m, n, powers(m, n).tolist())]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +42,8 @@ class Design:
     n: int
 
     def __post_init__(self):
-        # exact type first: every scanned design builds one
-        if type(self.m) is not int or type(self.n) is not int or self.m < 1 or self.n < 1:
-            object.__setattr__(self, "m", _count(self.m, 1, "group size m"))
-            object.__setattr__(self, "n", _count(self.n, 1, "group size n"))
+        object.__setattr__(self, "m", _count(self.m, 1, "group size m"))
+        object.__setattr__(self, "n", _count(self.n, 1, "group size n"))
 
     @property
     def total_n(self) -> int:
@@ -83,26 +80,19 @@ def null_moments(d: Design) -> tuple[float, float]:
     return mn / 2.0, mn * (d.m + d.n + 1) / 12.0
 
 
-def _group_sizes(designs: list[Design]) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 arrays m and n of a list of designs, an empty list included.
-
-    A group size past int64 makes both object arrays of Python ints, so every
-    size reaches ``_moments``' products as an exact integer, never a float.
-    """
-    m, n = [d.m for d in designs], [d.n for d in designs]
-    try:
-        return np.array(m, dtype=np.int64), np.array(n, dtype=np.int64)
-    except OverflowError:
-        return np.array(m, dtype=object), np.array(n, dtype=object)
-
-
 def _moments(m, n, F: DistributionSpec, G: DistributionSpec) -> tuple[np.ndarray, ...]:
     """The fields of ``MomentSummary``, in its order, as arrays over the designs m[i]/n[i].
 
-    m and n are int arrays.  The products mn(N + 1) and mn(3N - 5) are exact
-    before their one rounding to float, in Python ints wherever int64 could
-    wrap (mn(3N - 5) < 3N³/4).
+    m and n are int arrays or sequences of ints, empty ones included.
+    This is the one place that picks their integer type: int64, or exact
+    Python ints where a size passes int64 or int64 could wrap (mn(3N - 5) <
+    3N³/4), so the products mn(N + 1) and mn(3N - 5) are exact before their
+    one rounding to float.
     """
+    try:
+        m, n = np.asarray(m, dtype=np.int64), np.asarray(n, dtype=np.int64)
+    except OverflowError:
+        m, n = np.asarray(m, dtype=object), np.asarray(n, dtype=object)
     # bounds the largest total from above in Python ints: m + n itself can wrap int64
     if 3 * (int(m.max(initial=0)) + int(n.max(initial=0))) ** 3 >= 2 ** 65:
         m, n = m.astype(object), n.astype(object)
@@ -134,21 +124,5 @@ def alt_moments(d: Design, F: DistributionSpec, G: DistributionSpec) -> MomentSu
     integrals = 1/3 are used directly, so the null case is reproduced exactly
     rather than up to quadrature noise.  The one design's view of ``_moments``.
     """
-    return MomentSummary(*(field.item() for field in _moments(*_group_sizes([d]), F, G)))
+    return MomentSummary(*(field.item() for field in _moments([d.m], [d.n], F, G)))
 
-
-def standardized_mean_symmetric(omega: float, total_n: int, p: float) -> float:
-    """Closed-form standardized mean for symmetric pure-shift alternatives.
-
-    Cross-validates the general `alt_moments` path: for symmetric F, G with
-    G(x) = F(x + a) the standardized mean collapses to
-    sqrt(omega (1-omega)) N (p - 1/2) / sqrt((N+1)/12).
-    """
-    total_n = _check_total(total_n)
-    _check_omega(omega)
-    return (
-        math.sqrt(omega * (1.0 - omega))
-        * total_n
-        * (p - 0.5)
-        / math.sqrt((total_n + 1) / 12.0)
-    )

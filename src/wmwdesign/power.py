@@ -10,8 +10,7 @@ from scipy import special
 
 from . import moments
 from .distributions import DistributionSpec
-from .moments import (ConfigurationError, Design, _check_omega, _check_total, _group_sizes,
-                      alt_moments)
+from .moments import ConfigurationError, Design, _check_omega, _check_total, alt_moments
 
 ONE_SIDED_UPPER = "one_sided_upper"
 TWO_SIDED = "two_sided"
@@ -120,7 +119,7 @@ def deficiency_symmetric(omega: float) -> float:
 
 def _wmw_powers(F: DistributionSpec, G: DistributionSpec, alpha: float = 0.05,
                 side: str = ONE_SIDED_UPPER):
-    """The function (m, n) -> approximate WMW powers at the designs m[i]/n[i] (int arrays).
+    """The function (m, n) -> approximate WMW powers at the designs m[i]/n[i] (int sequences).
 
     Checks alpha and side, and computes the critical values, once for all
     designs; each call takes the designs' moments from ``moments._moments``,
@@ -135,8 +134,8 @@ def _wmw_powers(F: DistributionSpec, G: DistributionSpec, alpha: float = 0.05,
     return powers
 
 
-def _grid(total_n: int, epsilon: float, smallest: int = 1) -> list[Design]:
-    """The designs m/(N - m) with epsilon <= m/N <= 1-epsilon and both groups >= smallest.
+def _grid(total_n: int, epsilon: float, smallest: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 columns m and N - m of the designs with epsilon <= m/N <= 1-epsilon, both >= smallest.
 
     A total N that is not an int >= 2, a bad epsilon or no design is a ConfigurationError.
     """
@@ -149,7 +148,8 @@ def _grid(total_n: int, epsilon: float, smallest: int = 1) -> list[Design]:
         raise ConfigurationError(
             f"no realizable allocations for N={total_n} with epsilon={epsilon}"
         )
-    return [Design(m, total_n - m) for m in range(lo, hi + 1)]
+    m = np.arange(lo, hi + 1, dtype=np.int64)
+    return m, total_n - m
 
 
 def _first_reaching(powers, m, n, target: float) -> int | None:
@@ -213,7 +213,7 @@ def deficiency_general(F: DistributionSpec, G: DistributionSpec, total_n: int,
     """
     _check_omega(omega)
     powers = _wmw_powers(F, G, alpha, side)
-    target = float(powers(*_group_sizes(_grid(total_n, epsilon))).max())
+    target = float(powers(*_grid(total_n, epsilon)).max())
     return _deficiency_search(powers, total_n, omega, target)
 
 
@@ -304,4 +304,4 @@ def welch_deficiency(mu1: float, sd1: float, mu2: float, sd2: float, total_n: in
     def powers(m, n) -> np.ndarray:
         return _welch_powers(mu1, sd1, mu2, sd2, m, n, alpha, side)[0]
 
-    return _deficiency_search(powers, total_n, omega, float(powers(*_group_sizes(grid)).max()))
+    return _deficiency_search(powers, total_n, omega, float(powers(*grid).max()))

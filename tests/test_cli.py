@@ -130,6 +130,18 @@ def test_deficiency_general_flags_without_specs_are_usage_errors(capsys, flags):
     assert all(flag in err for flag in flags if flag.startswith("--"))
 
 
+@pytest.mark.parametrize("flags", [
+    ("--f-spec", NORMAL_SHIFTED),
+    ("--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD),
+    ("--g-spec", NORMAL_STD, "--n", "50"),
+], ids=["f-spec", "no n", "no f-spec"])
+def test_deficiency_general_without_both_specs_and_n_is_usage_error(capsys, flags):
+    code, out, err = run(capsys, "deficiency", "--omega", "0.5", *flags)
+    assert code == 1
+    assert out == ""
+    assert err == "error: general deficiency needs --f-spec, --g-spec and --n\n"
+
+
 def test_deficiency_general_passes_its_flags_on(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "deficiency_general",
@@ -142,7 +154,7 @@ def test_deficiency_general_passes_its_flags_on(monkeypatch, capsys):
                      ((30, 0.2), {"alpha": 0.01, "side": "two_sided", "epsilon": 0.2})]
 
 
-@pytest.mark.parametrize("grid", [",", "", " , "])
+@pytest.mark.parametrize("grid", [",", "", " , ", "0.3,abc"])
 def test_power_curve_empty_grid_is_usage_error(capsys, grid):
     code, out, err = run(
         capsys, "power-curve", "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD,
@@ -430,6 +442,16 @@ def test_spec_file_input(tmp_path, capsys):
     )
     assert code == 0
     assert 0.80 < json.loads(out)["approx_power"] < 0.83
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing file", "directory"])
+def test_unreadable_spec_file_is_one_line_usage_error(tmp_path, capsys, name):
+    code, out, err = run(capsys, "power", "--f-spec", str(tmp_path / name),
+                         "--g-spec", NORMAL_STD)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: --f-spec: cannot read spec file: ")
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ ALL_FAMILIES = [
     chi_square(14.0),
     student_t(3.0, 17.0, 2.8),
 ]
+
+
+def _kernel_id(spec):
+    return f"{spec.family}{tuple(v for _, v in spec.params)}+{spec.shift}"
 
 
 def test_standard_normal_mode_density():
@@ -55,21 +60,21 @@ def test_quantile_trivia():
     assert log_normal(0, 1).quantile(0.5) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=_kernel_id)
 def test_quantile_cdf_round_trip(spec):
     ps = [0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999]
     for p in ps:
         assert abs(spec.cdf(spec.quantile(p)) - p) < 1e-8
 
 
-@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=_kernel_id)
 def test_shift_equivariance_exact(spec):
     shifted = spec.with_shift(spec.shift + 2.25)
     for x in (-1.0, 0.5, 3.0, 20.0):
         assert shifted.cdf(x) == spec.cdf(x - 2.25)
 
 
-@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=_kernel_id)
 def test_density_normalization(spec):
     lo, hi = spec.quantile(1e-12), spec.quantile(1 - 1e-12)
     mass, _ = integrate.quad(spec.pdf, lo, hi, epsabs=1e-10, limit=300)
@@ -98,19 +103,28 @@ def test_sampling_exponential_mean():
 
 
 @pytest.mark.parametrize(
-    "ctor,kwargs",
+    "ctor,kwargs,message",
     [
-        (normal, {"mean": 0, "sd": 0}),
-        (normal, {"mean": 0, "sd": -1}),
-        (exponential, {"rate": 0}),
-        (log_normal, {"log_mean": 0, "log_sd": -0.5}),
-        (chi_square, {"df": 0}),
-        (student_t, {"df": -3}),
-        (student_t, {"df": 3, "scale": 0}),
+        (normal, {"mean": 0, "sd": 0}, "normal.sd must be > 0, got 0.0"),
+        (normal, {"mean": 0, "sd": -1}, "normal.sd must be > 0, got -1.0"),
+        (exponential, {"rate": 0}, "exponential.rate must be > 0, got 0.0"),
+        (log_normal, {"log_mean": 0, "log_sd": -0.5}, "lognormal.logSd must be > 0, got -0.5"),
+        (chi_square, {"df": 0}, "chisquare.df must be > 0, got 0.0"),
+        (student_t, {"df": -3}, "studentt.df must be > 0, got -3.0"),
+        (student_t, {"df": 3, "scale": 0}, "studentt.scale must be > 0, got 0.0"),
+        # the spec's own checks, which from_dict's never leave to it
+        (normal, {"mean": math.nan, "sd": 1}, "normal.mean must be finite, got nan"),
+        (normal, {"mean": 0, "sd": 1, "shift": math.inf}, "shift must be finite, got inf"),
+        (DistributionSpec, {"family": "foo", "params": ()}, "unknown family 'foo'"),
+        (DistributionSpec, {"family": "normal", "params": (("sd", 1.0), ("mean", 0.0))},
+         "normal expects parameters ('mean', 'sd'), got ('sd', 'mean')"),
     ],
+    ids=["normal sd 0", "normal sd -1", "exponential rate 0", "log_normal log_sd -0.5",
+         "chi_square df 0", "student_t df -3", "student_t scale 0", "normal mean nan",
+         "normal shift inf", "unknown family", "parameters out of order"],
 )
-def test_invalid_parameters_rejected(ctor, kwargs):
-    with pytest.raises(ParameterError):
+def test_invalid_parameters_rejected(ctor, kwargs, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         ctor(**kwargs)
 
 
@@ -134,6 +148,7 @@ def test_json_round_trip():
         "shift": -1.0,
     }
     assert DistributionSpec.from_dict(data) == spec
+    assert normal(0.75, 2).param("sd") == 2.0
 
 
 def test_json_parse_errors_name_the_field():
@@ -192,10 +207,6 @@ KERNEL_SPECS = [
 ]
 
 LEVELS = [1e-15, 1e-12, 0.5, 1 - 1e-12, 1 - 1e-15]
-
-
-def _kernel_id(spec):
-    return f"{spec.family}{tuple(v for _, v in spec.params)}+{spec.shift}"
 
 
 def _points(spec):

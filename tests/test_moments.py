@@ -21,11 +21,21 @@ from wmwdesign import (
     power_curve,
     prob_x_ge_y,
     simulate_power,
-    standardized_mean_symmetric,
     welch_deficiency,
     welch_power,
     wmw_power,
 )
+from wmwdesign.moments import _check_omega, _check_total
+
+
+def standardized_mean_symmetric(omega, total_n, p):
+    """Closed-form standardized mean for symmetric pure-shift alternatives:
+    for symmetric F, G with G(x) = F(x + a) it collapses to
+    sqrt(omega (1-omega)) N (p - 1/2) / sqrt((N+1)/12).  The oracle of the
+    general ``alt_moments`` path, checking N and omega as the package does."""
+    total_n = _check_total(total_n)
+    _check_omega(omega)
+    return math.sqrt(omega * (1.0 - omega)) * total_n * (p - 0.5) / math.sqrt((total_n + 1) / 12.0)
 
 
 def enumerate_null_moments(m, n):

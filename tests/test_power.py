@@ -34,7 +34,7 @@ from wmwdesign import (
 from wmwdesign import moments
 from wmwdesign import power as power_mod
 from wmwdesign.exceedance import RESULT_TOL, second_moment_integrals
-from wmwdesign.moments import MomentSummary, _group_sizes, alt_moments, null_moments
+from wmwdesign.moments import MomentSummary, alt_moments, null_moments
 from wmwdesign.power import (_critical_values, _deficiency_search, _grid, _welch_powers,
                              _wmw_powers)
 from wmwdesign.scenarios import SCENARIOS
@@ -487,13 +487,54 @@ def test_wmw_powers_take_exact_products_where_the_total_passes_int64():
 
 
 def test_group_sizes_are_exact_ints_for_every_list():
-    for designs in ([], [Design(3, 4)], [Design(np.int64(3), 4), Design(1, 2 ** 62)]):
-        m, n = _group_sizes(designs)
-        assert m.dtype == n.dtype == np.int64  # np.array([]) alone is float64
-        assert (m.tolist(), n.tolist()) == ([d.m for d in designs], [d.n for d in designs])
-    m, n = _group_sizes([Design(1, 2), Design(2 ** 63, 2 ** 70)])
-    assert m.dtype == n.dtype == object
-    assert (m.tolist(), n.tolist()) == ([1, 2 ** 63], [2, 2 ** 70])
+    # _moments takes lists of sizes as int64, or as exact Python ints once a
+    # size passes int64: empty lists, numpy ints, and 2**63 and 2**70 beside
+    # small sizes all give the oracle's powers bit for bit
+    F, G = normal(1e-9, 1), normal(0, 1)
+    for side in ("one_sided_upper", TWO_SIDED):
+        power_at = _oracle_power_at(F, G, 0.05, side)
+        powers = _wmw_powers(F, G, 0.05, side)
+        for m, n in [([], []), ([3, np.int64(3)], [4, np.int64(2 ** 62)]),
+                     ([1, 2 ** 63, 5], [2, 2 ** 70, 7])]:
+            got = powers(m, n)
+            assert got.dtype == float
+            want = [power_at(Design(a, b)) for a, b in zip(m, n)]
+            assert [g.hex() for g in got.tolist()] == [w.hex() for w in want]
+
+
+def test_grid_is_two_int64_columns():
+    m, n = _grid(50, 0.1)
+    assert m.dtype == n.dtype == np.int64
+    assert (m.tolist(), n.tolist()) == (list(range(5, 46)), list(range(45, 4, -1)))
+    m, n = _grid(np.int64(10), 0.0, smallest=2)
+    assert (m.tolist(), n.tolist()) == (list(range(2, 9)), list(range(8, 1, -1)))
+
+
+def test_scans_build_a_design_only_for_an_answer(monkeypatch):
+    # the scans walk _grid's columns: a Design is built for the optimum and
+    # for each omega of an explicit curve grid, and for no other design
+    built = []
+    post_init = Design.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Design, "__post_init__", counted)
+    F, G = normal(0.75, 1), normal(0, 1)
+    for call, count in [(lambda: optimal_design(F, G, 2000), 1),
+                        (lambda: deficiency_general(F, G, 2000, 0.3), 0),
+                        (lambda: welch_deficiency(0.75, 1.0, 0.0, 1.0, 2000, 0.3), 0),
+                        (lambda: power_curve(F, G, 2000), 0),
+                        (lambda: power_curve(F, G, 2000, grid=[0.2, 0.5, 0.5]), 3)]:
+        built.clear()
+        call()
+        assert len(built) == count
+
+
+def _grid_designs(total_n, epsilon, smallest=1):
+    """The designs of ``_grid``'s columns, one ``Design`` each."""
+    return [Design(a, b) for a, b in zip(*_grid(total_n, epsilon, smallest))]
 
 
 # every omega of the benchmark's curve grid, 0.05 ... 0.95 in steps of 0.005:
@@ -508,7 +549,7 @@ def test_power_curve_matches_the_scalar_oracle_bitwise(side):
             ARRAY_PAIRS, [1e-6, 0.05, 0.5], [(50, None), (137, None), (50, FINE_GRID)]):
         power_at = _oracle_power_at(F, G, alpha, side)
         points = power_curve(F, G, total_n, alpha, side, grid)
-        designs = (_grid(total_n, 0.0) if grid is None
+        designs = (_grid_designs(total_n, 0.0) if grid is None
                    else [Design.from_total(total_n, omega) for omega in grid])
         assert [(p.omega, p.m, p.n) for p in points] == [(d.omega, d.m, d.n) for d in designs]
         assert all(type(p.power) is float for p in points)
@@ -596,7 +637,7 @@ def test_chunked_deficiency_search_matches_the_walk(baseline, pair, welch, side,
     if baseline == "wmw":
         F, G = pair
         power_at = _oracle_power_at(F, G, 0.05, side)
-        target = max(map(power_at, _grid(total_n, 0.1)))
+        target = max(map(power_at, _grid_designs(total_n, 0.1)))
         want = _outcome(lambda: _walked_deficiency(power_at, total_n, omega, target))
         assert _outcome(lambda: deficiency_general(F, G, total_n, omega, side=side)) == want
         best = optimal_design(F, G, total_n, side=side, compute_deficiency=False).optimal_power
@@ -610,7 +651,7 @@ def test_chunked_deficiency_search_matches_the_walk(baseline, pair, welch, side,
             return welch_power(mu1, sd1, 0.0, sd2, d, side=side).approx_power
 
         want = _outcome(lambda: _walked_deficiency(
-            power_at, total_n, omega, max(map(power_at, _grid(total_n, 0.1, smallest=2)))))
+            power_at, total_n, omega, max(map(power_at, _grid_designs(total_n, 0.1, 2)))))
         assert _outcome(lambda: welch_deficiency(mu1, sd1, 0.0, sd2, total_n, omega,
                                                  side=side)) == want
 
