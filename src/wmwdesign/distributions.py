@@ -194,11 +194,13 @@ def _bind(shift, loc, scale, lower, upper, closed, density, distribution, invers
     does: the pdf is zero outside [lower, upper] (outside (lower, upper) unless
     ``closed``), the cdf zero at and below ``lower`` and one at and above
     ``upper``, NaN stays NaN.  A float z (numpy float64 included) takes Python
-    branches, the quadrature's hot path, an array z :func:`_place`; both round
-    alike, bit for bit.  Quantiles and draws are scipy's ``* scale + loc``,
-    then ``+ shift``: folding loc + shift would round differently.  Draws
-    apply them in place on the fresh array ``draw`` returns, the same IEEE
-    operations in the same order without a second copy.
+    branches, an array z :func:`_place`; both round alike, bit for bit, which
+    lets the quadrature evaluate QUADPACK's first-pass nodes as one array and
+    fall back to the float branches at the bisections' nodes.  Quantiles and
+    draws are scipy's ``* scale + loc``, then ``+ shift``: folding loc + shift
+    would round differently.  Draws apply them in place on the fresh array
+    ``draw`` returns, the same IEEE operations in the same order without a
+    second copy.
     """
 
     def pdf(x):

@@ -88,6 +88,48 @@ def _domains(F: DistributionSpec, G: DistributionSpec):
     return domains
 
 
+# QUADPACK's 21-point Gauss-Kronrod abscissae on [-1, 1] (dqk21's xgk), all
+# but the centre 0; Piessens et al., QUADPACK, 1983
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+
+
+class _FirstPass(dict):
+    """node -> (fn(node) for fn in fns), with QUADPACK's first pass tabulated.
+
+    Before bisecting, QUADPACK applies the 21-point Kronrod rule to each panel
+    [a, b] between the domain's ends and breakpoints: it evaluates the
+    integrand at centr = (a + b) / 2 and at centr -+ hlgth * xgk with
+    hlgth = (b - a) / 2, in that arithmetic.  Those nodes follow from the
+    domain alone, so each of ``fns`` (kernel functions) is evaluated once on
+    all of them as an array; any other node (the bisections' few percent) is
+    a missing key, whose values ``fns`` compute from its Python float.  A
+    kernel's array and float branches round alike, bit for bit, so a hit
+    returns the very values a miss would.  Keys are floats: 0.0 and -0.0
+    share one entry (every kernel value is equal at both) and a NaN never
+    matches one.
+    """
+
+    def __init__(self, domain, *fns):
+        lo, hi, points = domain
+        edges = np.array([lo, *(points or ()), hi])
+        a, b = edges[:-1], edges[1:]
+        centr = 0.5 * (a + b)
+        absc = (0.5 * (b - a))[:, None] * _XGK
+        nodes = np.concatenate((centr, (centr[:, None] - absc).ravel(),
+                                (centr[:, None] + absc).ravel()))
+        super().__init__(zip(nodes.tolist(), zip(*(fn(nodes) for fn in fns))))
+        self.fns = fns
+
+    def __missing__(self, x):
+        return tuple(fn(x) for fn in self.fns)
+
+
 def _quad(fn, lo, hi, points=None) -> tuple[float, float]:
     from scipy import integrate  # imported on first use: importing wmwdesign stays cheap
 
@@ -112,9 +154,24 @@ def second_moment_integrals(F: DistributionSpec, G: DistributionSpec) -> Exceeda
     f_pdf, f_cdf = kernel(F)[:2]
     g_pdf, g_cdf = kernel(G)[:2]
     over_f, over_g = _domains(F, G)
-    p, e1 = _quad(lambda x: g_cdf(x) * f_pdf(x), *over_f)
-    i1, e2 = _quad(lambda x: g_cdf(x) ** 2 * f_pdf(x), *over_f)
-    i2, e3 = _quad(lambda x: (1.0 - f_cdf(x)) ** 2 * g_pdf(x), *over_g)
+    g_f = _FirstPass(over_f, g_cdf, f_pdf)  # p and int G^2 f share their nodes
+    f_g = _FirstPass(over_g, f_cdf, g_pdf)
+
+    def p_integrand(x):
+        c, d = g_f[x]
+        return c * d
+
+    def g2f_integrand(x):
+        c, d = g_f[x]
+        return c ** 2 * d
+
+    def f2g_integrand(x):
+        c, d = f_g[x]
+        return (1.0 - c) ** 2 * d
+
+    p, e1 = _quad(p_integrand, *over_f)
+    i1, e2 = _quad(g2f_integrand, *over_f)
+    i2, e3 = _quad(f2g_integrand, *over_g)
     bound = max(e1, e2, e3)
     if bound > RESULT_TOL:
         raise QuadratureAccuracyError("exceedance integrals did not converge", bound)
@@ -141,8 +198,19 @@ def check_identities(F: DistributionSpec, G: DistributionSpec) -> IdentityReport
     f_pdf, f_cdf = kernel(F)[:2]
     g_pdf, g_cdf = kernel(G)[:2]
     over_f, over_g = _domains(F, G)
-    int_f2_g, e1 = _quad(lambda x: f_cdf(x) ** 2 * g_pdf(x), *over_g)
-    int_g_1mf_f, e2 = _quad(lambda x: g_cdf(x) * (1.0 - f_cdf(x)) * f_pdf(x), *over_f)
+    f_g = _FirstPass(over_g, f_cdf, g_pdf)
+    g_f_f = _FirstPass(over_f, g_cdf, f_cdf, f_pdf)
+
+    def f2g_integrand(x):
+        c, d = f_g[x]
+        return c ** 2 * d
+
+    def g_1mf_f_integrand(x):
+        c, e, d = g_f_f[x]
+        return c * (1.0 - e) * d
+
+    int_f2_g, e1 = _quad(f2g_integrand, *over_g)
+    int_g_1mf_f, e2 = _quad(g_1mf_f_integrand, *over_f)
     bound = max(e1, e2)
     if bound > RESULT_TOL:
         raise QuadratureAccuracyError("identity integrals did not converge", bound)

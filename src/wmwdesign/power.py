@@ -31,6 +31,13 @@ CAP_FACTOR = 20
 CHUNK = 256
 
 
+# the most designs a scan's grid may hold: optimal_design walks about 36,000
+# designs a second, so a full grid takes under half a minute and its two
+# int64 columns 16 MB; a larger grid is a ConfigurationError before any array
+# or integral
+MAX_GRID_DESIGNS = 10**6
+
+
 class AllocationSearchError(RuntimeError):
     """Deficiency search exhausted its sample-size cap."""
 
@@ -137,7 +144,8 @@ def _wmw_powers(F: DistributionSpec, G: DistributionSpec, alpha: float = 0.05,
 def _grid(total_n: int, epsilon: float, smallest: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Int64 columns m and N - m of the designs with epsilon <= m/N <= 1-epsilon, both >= smallest.
 
-    A total N that is not an int >= 2, a bad epsilon or no design is a ConfigurationError.
+    A total N that is not an int >= 2, a bad epsilon, no design or more than
+    MAX_GRID_DESIGNS designs is a ConfigurationError.
     """
     total_n = _check_total(total_n)
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
@@ -147,6 +155,12 @@ def _grid(total_n: int, epsilon: float, smallest: int = 1) -> tuple[np.ndarray, 
     if lo > hi:
         raise ConfigurationError(
             f"no realizable allocations for N={total_n} with epsilon={epsilon}"
+        )
+    designs = hi - lo + 1
+    if designs > MAX_GRID_DESIGNS:
+        raise ConfigurationError(
+            f"N={total_n} with epsilon={epsilon} spans {designs} designs, "
+            f"more than the limit of {MAX_GRID_DESIGNS} a scan walks"
         )
     m = np.arange(lo, hi + 1, dtype=np.int64)
     return m, total_n - m

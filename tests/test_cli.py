@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from wmwdesign import cli, exceedance
+from wmwdesign import cli, exceedance, moments
 from wmwdesign.cli import main
+from wmwdesign.power import MAX_GRID_DESIGNS
 
 NORMAL_SHIFTED = '{"family":"normal","params":{"mean":0.75,"sd":1}}'
 NORMAL_STD = '{"family":"normal","params":{"mean":0,"sd":1}}'
@@ -188,6 +189,27 @@ def test_total_past_the_float_range_is_usage_error(capsys, argv):
     assert code == 1
     assert out == ""
     assert err == "error: int too large to convert to float\n"
+
+
+@pytest.mark.parametrize("n", ["1099511627776", "18446744073709551617"])
+@pytest.mark.parametrize("argv", [
+    ("optimal-design",), ("power-curve",), ("deficiency", "--omega", "0.5"),
+], ids=" ".join)
+def test_total_past_the_grid_limit_is_usage_error(monkeypatch, capsys, argv, n):
+    # these totals used to end in numpy's _ArrayMemoryError traceback or its
+    # "Maximum allowed size exceeded"; the grid's size is checked before any
+    # array or integral
+    def no_quadrature(F, G):
+        raise AssertionError("second_moment_integrals called")
+
+    monkeypatch.setattr(moments, "second_moment_integrals", no_quadrature)
+    code, out, err = run(capsys, *argv, "--f-spec", NORMAL_SHIFTED, "--g-spec", NORMAL_STD,
+                         "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: N={n} with epsilon=")
+    assert err.endswith(f"more than the limit of {MAX_GRID_DESIGNS} a scan walks\n")
 
 
 def test_deficiency_general(capsys):

@@ -510,6 +510,24 @@ def test_grid_is_two_int64_columns():
     assert (m.tolist(), n.tolist()) == (list(range(2, 9)), list(range(8, 1, -1)))
 
 
+def test_grid_holds_at_most_max_grid_designs(monkeypatch):
+    # the limit is checked on the grid's ends, before any array: 2**40 used to
+    # fail allocating 6.4 TiB and 2**64 + 1 past numpy's maximum array size
+    monkeypatch.setattr(moments, "second_moment_integrals", _no_quadrature)
+    limit = power_mod.MAX_GRID_DESIGNS
+    assert len(_grid(limit + 1, 0.0)[0]) == limit
+    for total_n, epsilon in [(limit + 2, 0.0), (2 ** 40, 0.1), (2 ** 64 + 1, 0.1)]:
+        with pytest.raises(ConfigurationError, match=f"more than the limit of {limit} "):
+            _grid(total_n, epsilon)
+    F, G = normal(0.75, 1), normal(0, 1)
+    for scan in (lambda: optimal_design(F, G, 2 ** 40),
+                 lambda: power_curve(F, G, limit + 2),
+                 lambda: deficiency_general(F, G, 2 ** 40, 0.5),
+                 lambda: welch_deficiency(0.75, 1.0, 0.0, 1.0, 2 ** 40, 0.5)):
+        with pytest.raises(ConfigurationError, match="limit"):
+            scan()
+
+
 def test_scans_build_a_design_only_for_an_answer(monkeypatch):
     # the scans walk _grid's columns: a Design is built for the optimum and
     # for each omega of an explicit curve grid, and for no other design
