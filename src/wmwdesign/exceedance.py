@@ -3,12 +3,20 @@
 All quantities are computed by adaptive quadrature over a truncated support,
 keeping a single numeric code path for every distribution family.  Closed
 forms (two normals, two exponentials) exist only in the tests as oracles.
+
+The quadrature is scipy.integrate.quad's QAGP, bit for bit.  Its first pass
+(the 21-point Gauss-Kronrod rule on each panel between breakpoints) runs in
+numpy, one batch for all of a pair's integrals; where it meets QAGP's stopping
+test, as most integrals do, QUADPACK is neither called nor imported.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +25,7 @@ from .distributions import DistributionSpec, kernel
 # absolute tolerance requested from the quadrature routine; callers are
 # promised 1e-9 on the results
 QUAD_EPSABS = 1e-12
+QUAD_EPSREL = 1e-10
 RESULT_TOL = 1e-9
 
 _TAIL = 1e-12  # support truncated at this quantile level
@@ -73,7 +82,7 @@ def _domains(F: DistributionSpec, G: DistributionSpec):
     """
     quantiles = [spec.quantile((_TAIL, *_GUIDE_LEVELS, 1 - _TAIL)) for spec in (F, G)]
     guides = [x for spec, qs in zip((F, G), quantiles) for x in (*spec.support(), *qs[1:-1])]
-    domains = []
+    domains = []  # breakpoints sorted and strictly inside (lo, hi): see _panels
     for spec, (lo, *qs, hi) in zip((F, G), quantiles):
         # Over too few floats QUADPACK's result is noise under a bound below
         # RESULT_TOL: on two normals it missed the closed form by 8e-8 at 2e7
@@ -88,46 +97,82 @@ def _domains(F: DistributionSpec, G: DistributionSpec):
     return domains
 
 
-# QUADPACK's 21-point Gauss-Kronrod abscissae on [-1, 1] (dqk21's xgk), all
-# but the centre 0; Piessens et al., QUADPACK, 1983
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (dqk21; Piessens et al.,
+# QUADPACK, 1983): (xgk, wgk)(1..10), every abscissa but the centre with its
+# weight; the centre's wgk(11); the Gauss weights wg(1..5) of xgk(2, 4, ..., 10)
+_XGK, _WGK = np.array([
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192),
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805),
+    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068),
+]).T
+_WGK_CENTRE = 0.149445554002916905664936468389821
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
 ])
+_ADDED = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]  # dqk21 adds xgk(2, 4, ..., 10), then xgk(1, 3, ..., 9)
+_WGK_ADDED = _WGK[_ADDED]
+_EPMACH, _UFLOW = np.finfo(float).eps, np.finfo(float).tiny
 
 
-class _FirstPass(dict):
-    """node -> (fn(node) for fn in fns), with QUADPACK's first pass tabulated.
+class _Panels(NamedTuple):  # nodes: 21 a panel (centr, centr - absc, centr + absc), flat
+    domain: tuple
+    nodes: np.ndarray
+    hlgth: np.ndarray
 
-    Before bisecting, QUADPACK applies the 21-point Kronrod rule to each panel
-    [a, b] between the domain's ends and breakpoints: it evaluates the
-    integrand at centr = (a + b) / 2 and at centr -+ hlgth * xgk with
-    hlgth = (b - a) / 2, in that arithmetic.  Those nodes follow from the
-    domain alone, so each of ``fns`` (kernel functions) is evaluated once on
-    all of them as an array; any other node (the bisections' few percent) is
-    a missing key, whose values ``fns`` compute from its Python float.  A
-    kernel's array and float branches round alike, bit for bit, so a hit
-    returns the very values a miss would.  Keys are floats: 0.0 and -0.0
-    share one entry (every kernel value is equal at both) and a NaN never
-    matches one.
-    """
 
-    def __init__(self, domain, *fns):
-        lo, hi, points = domain
-        edges = np.array([lo, *(points or ()), hi])
-        a, b = edges[:-1], edges[1:]
-        centr = 0.5 * (a + b)
-        absc = (0.5 * (b - a))[:, None] * _XGK
-        nodes = np.concatenate((centr, (centr[:, None] - absc).ravel(),
-                                (centr[:, None] + absc).ravel()))
-        super().__init__(zip(nodes.tolist(), zip(*(fn(nodes) for fn in fns))))
-        self.fns = fns
+def _panels(domain) -> _Panels:
+    """QUADPACK's first-pass nodes on ``domain``, in its arithmetic.  The edges
+    [lo, *points, hi] are quad's panels only because _domains returns points
+    sorted and strictly inside (lo, hi), as quad's np.unique and filter would."""
+    lo, hi, points = domain
+    edges = np.array([lo, *(points or ()), hi])
+    a, b = edges[:-1, None], edges[1:, None]
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    absc = hlgth * _XGK
+    return _Panels(domain, np.hstack((centr, centr - absc, centr + absc)).ravel(), hlgth.ravel())
 
-    def __missing__(self, x):
-        return tuple(fn(x) for fn in self.fns)
+
+def _squares(x):
+    """x ** 2 elementwise as the scalar integrands take it: C pow on each float,
+    which neither x * x nor numpy's array power matches bit for bit."""
+    return np.array(list(map(math.pow, x.tolist(), repeat(2.0))))
+
+
+def _kronrod(values, hlgth) -> tuple[list[float], list[float]]:
+    """dqk21's result and abserr on each panel (a row of values in _Panels'
+    layout) in its operations and order: cumsum adds left to right as its loops
+    do, and ** 1.5 is C pow.  A non-finite value gives a non-finite result,
+    which _integrate leaves to QUADPACK, so numpy's warnings are silenced."""
+    with np.errstate(all="ignore"):
+        fc, fv1, fv2 = values[:, :1], values[:, 1:11], values[:, 11:]
+        fsum = fv1 + fv2
+        resg = np.cumsum(_WG * fsum[:, 1::2], axis=1)[:, -1]
+        resk, resabs = np.cumsum(np.stack((
+            np.concatenate((_WGK_CENTRE * fc, _WGK_ADDED * fsum[:, _ADDED]), axis=1),
+            np.concatenate((abs(_WGK_CENTRE * fc), _WGK_ADDED * (abs(fv1) + abs(fv2))[:, _ADDED]),
+                           axis=1))), axis=2)[:, :, -1]
+        reskh = resk[:, None] * 0.5
+        resasc = np.cumsum(np.concatenate((_WGK_CENTRE * abs(fc - reskh),
+                                           _WGK * (abs(fv1 - reskh) + abs(fv2 - reskh))), axis=1),
+                           axis=1)[:, -1] * hlgth
+        resabs = resabs * hlgth
+        result, abserr = resk * hlgth, abs((resk - resg) * hlgth)
+        # min(1, ratio ** 1.5) for ratio >= 0, where resasc and abserr are nonzero
+        ratio = 200.0 * abserr / resasc
+        abserr = np.where((resasc != 0.0) & (abserr != 0.0),
+                          resasc * [r ** 1.5 if r < 1.0 else 1.0 for r in ratio.tolist()], abserr)
+        abserr = np.where(resabs > _UFLOW / (50.0 * _EPMACH),
+                          np.maximum(_EPMACH * 50.0 * resabs, abserr), abserr)
+    return result.tolist(), abserr.tolist()
 
 
 def _quad(fn, lo, hi, points=None) -> tuple[float, float]:
@@ -135,8 +180,37 @@ def _quad(fn, lo, hi, points=None) -> tuple[float, float]:
 
     # full_output returns QUADPACK's status instead of issuing an
     # IntegrationWarning; the callers judge the result by its bound alone
-    return integrate.quad(fn, lo, hi, epsabs=QUAD_EPSABS, epsrel=1e-10, limit=500,
+    return integrate.quad(fn, lo, hi, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL, limit=500,
                           points=points, full_output=1)[:2]
+
+
+def _integrate(*integrals) -> list[tuple[float, float]]:
+    """(result, abserr) of each (panels, integrand values on its nodes,
+    integrand), bit for bit what ``_quad(integrand, *panels.domain)`` returns.
+
+    The panels' sums, added left to right from 0, are quad's answer where they
+    meet dqagpe's first-pass exit (one panel would be QAGS, whose exit
+    differs).  Other integrals go to QUADPACK, whose integrand looks the
+    first-pass nodes up and calls ``integrand`` on the bisections' alone.
+    """
+    results, errors = _kronrod(np.concatenate([v for _, v, _ in integrals]).reshape(-1, 21),
+                               np.concatenate([p.hlgth for p, _, _ in integrals]))
+    answers, end = [], 0
+    for panels, values, integrand in integrals:
+        start, end = end, end + len(panels.hlgth)
+        result = abserr = 0.0
+        for r, e in zip(results[start:end], errors[start:end]):
+            result += r
+            abserr += e
+        if not (len(panels.hlgth) > 1 and math.isfinite(result)
+                and abserr <= max(QUAD_EPSABS, QUAD_EPSREL * abs(result))):
+            # keys are floats: 0.0 and -0.0 share one entry (every kernel
+            # value is equal at both) and a NaN never matches one
+            table = dict(zip(panels.nodes.tolist(), values.tolist()))
+            result, abserr = _quad(lambda x: table[x] if x in table else integrand(x),
+                                   *panels.domain)
+        answers.append((result, abserr))
+    return answers
 
 
 def prob_x_ge_y(F: DistributionSpec, G: DistributionSpec) -> float:
@@ -153,25 +227,13 @@ def second_moment_integrals(F: DistributionSpec, G: DistributionSpec) -> Exceeda
     """
     f_pdf, f_cdf = kernel(F)[:2]
     g_pdf, g_cdf = kernel(G)[:2]
-    over_f, over_g = _domains(F, G)
-    g_f = _FirstPass(over_f, g_cdf, f_pdf)  # p and int G^2 f share their nodes
-    f_g = _FirstPass(over_g, f_cdf, g_pdf)
-
-    def p_integrand(x):
-        c, d = g_f[x]
-        return c * d
-
-    def g2f_integrand(x):
-        c, d = g_f[x]
-        return c ** 2 * d
-
-    def f2g_integrand(x):
-        c, d = f_g[x]
-        return (1.0 - c) ** 2 * d
-
-    p, e1 = _quad(p_integrand, *over_f)
-    i1, e2 = _quad(g2f_integrand, *over_f)
-    i2, e3 = _quad(f2g_integrand, *over_g)
+    on_f, on_g = map(_panels, _domains(F, G))
+    c, d = g_cdf(on_f.nodes), f_pdf(on_f.nodes)  # p and int G^2 f share their nodes
+    e, h = f_cdf(on_g.nodes), g_pdf(on_g.nodes)
+    (p, e1), (i1, e2), (i2, e3) = _integrate(
+        (on_f, c * d, lambda x: g_cdf(x) * f_pdf(x)),
+        (on_f, _squares(c) * d, lambda x: g_cdf(x) ** 2 * f_pdf(x)),
+        (on_g, _squares(1.0 - e) * h, lambda x: (1.0 - f_cdf(x)) ** 2 * g_pdf(x)))
     bound = max(e1, e2, e3)
     if bound > RESULT_TOL:
         raise QuadratureAccuracyError("exceedance integrals did not converge", bound)
@@ -197,20 +259,12 @@ def check_identities(F: DistributionSpec, G: DistributionSpec) -> IdentityReport
 
     f_pdf, f_cdf = kernel(F)[:2]
     g_pdf, g_cdf = kernel(G)[:2]
-    over_f, over_g = _domains(F, G)
-    f_g = _FirstPass(over_g, f_cdf, g_pdf)
-    g_f_f = _FirstPass(over_f, g_cdf, f_cdf, f_pdf)
-
-    def f2g_integrand(x):
-        c, d = f_g[x]
-        return c ** 2 * d
-
-    def g_1mf_f_integrand(x):
-        c, e, d = g_f_f[x]
-        return c * (1.0 - e) * d
-
-    int_f2_g, e1 = _quad(f2g_integrand, *over_g)
-    int_g_1mf_f, e2 = _quad(g_1mf_f_integrand, *over_f)
+    on_f, on_g = map(_panels, _domains(F, G))
+    c, e, d = g_cdf(on_f.nodes), f_cdf(on_f.nodes), f_pdf(on_f.nodes)
+    f2, h = _squares(f_cdf(on_g.nodes)), g_pdf(on_g.nodes)
+    (int_f2_g, e1), (int_g_1mf_f, e2) = _integrate(
+        (on_g, f2 * h, lambda x: f_cdf(x) ** 2 * g_pdf(x)),
+        (on_f, c * (1.0 - e) * d, lambda x: g_cdf(x) * (1.0 - f_cdf(x)) * f_pdf(x)))
     bound = max(e1, e2)
     if bound > RESULT_TOL:
         raise QuadratureAccuracyError("identity integrals did not converge", bound)

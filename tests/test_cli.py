@@ -496,9 +496,11 @@ def test_omega_outside_unit_interval_is_usage_error(capsys):
 
 
 def test_unconverged_integrals_are_numeric_exit(monkeypatch, capsys):
-    real_quad = exceedance._quad
-    monkeypatch.setattr(exceedance, "_quad",
-                        lambda *args, **kwargs: (real_quad(*args, **kwargs)[0], 1e-6))
+    # every integral's bound, from the first-pass exit or from QUADPACK,
+    # passes through _integrate
+    integrate = exceedance._integrate
+    monkeypatch.setattr(exceedance, "_integrate",
+                        lambda *integrals: [(result, 1e-6) for result, _ in integrate(*integrals)])
     code, out, err = run(
         capsys, "power", "--f-spec", '{"family":"normal","params":{"mean":0.5432,"sd":1.1}}',
         "--g-spec", NORMAL_STD, "--n", "50",

@@ -198,19 +198,39 @@ def test_nested_identity_against_direct_nested_quadrature():
     assert s.int_1mf2_g == pytest.approx(rhs, abs=1e-7)
 
 
+def fail_every_bound(monkeypatch) -> list:
+    """Report 1e-6 as every integral's bound, at the first-pass exit and after
+    QUADPACK alike; returns the list of QUADPACK calls made from then on."""
+    integrate, quad, quad_calls = exceedance._integrate, exceedance._quad, []
+    monkeypatch.setattr(exceedance, "_integrate",
+                        lambda *integrals: [(result, 1e-6) for result, _ in integrate(*integrals)])
+    monkeypatch.setattr(exceedance, "_quad",
+                        lambda *args, **kwargs: quad_calls.append(args[1:]) or quad(*args, **kwargs))
+    return quad_calls
+
+
 def test_unconverged_integrals_raise(monkeypatch):
     # a pair no other test uses, so no cached result hides the failure
     F, G = normal(0.4321, 1.3), normal(0.0, 0.7)
-    real_quad = exceedance._quad
-    monkeypatch.setattr(exceedance, "_quad",
-                        lambda *args, **kwargs: (real_quad(*args, **kwargs)[0], 1e-6))
+    calls = fail_every_bound(monkeypatch)
     with pytest.raises(QuadratureAccuracyError) as exc:
         second_moment_integrals(F, G)
     assert exc.value.achieved_bound == 1e-6
+    assert calls == []  # all three take the first-pass exit
     with pytest.raises(QuadratureAccuracyError):
         prob_x_ge_y(F, G)
     with pytest.raises(QuadratureAccuracyError):
         wmw_power(PowerQuery(F, G, Design(20, 20)))
+
+
+def test_unconverged_integrals_raise_after_quadpack(monkeypatch):
+    # a pair no other test uses, two of whose integrals reach QUADPACK
+    F, G = student_t(3.0, 0.4321, 1.3), normal(0.0, 0.7)
+    calls = fail_every_bound(monkeypatch)
+    with pytest.raises(QuadratureAccuracyError) as exc:
+        second_moment_integrals(F, G)
+    assert exc.value.achieved_bound == 1e-6
+    assert len(calls) == 2
 
 
 def test_unconverged_identity_integrals_raise():
@@ -229,12 +249,11 @@ def test_unconverged_identity_integrals_raise_after_a_converged_summary(monkeypa
     # only the identity integrals see the failing bound
     F, G = normal(0.1234, 1.1), normal(0.0, 0.9)
     second_moment_integrals(F, G)
-    real_quad = exceedance._quad
-    monkeypatch.setattr(exceedance, "_quad",
-                        lambda *args, **kwargs: (real_quad(*args, **kwargs)[0], 1e-6))
+    calls = fail_every_bound(monkeypatch)
     with pytest.raises(QuadratureAccuracyError) as exc:
         check_identities(F, G)
     assert exc.value.achieved_bound == 1e-6
+    assert calls == []  # both take the first-pass exit
 
 
 def _scipy_stats_methods(monkeypatch):
@@ -637,34 +656,15 @@ def test_kernels_agree_at_signed_zero(spec):
         assert len(values) == 1
 
 
-def test_most_integrand_calls_hit_the_first_pass_table(monkeypatch):
-    # the answers stay right if QUADPACK's node arithmetic ever moves off the
-    # table's, but the speed-up would vanish; on the catalogue 94.6% of the
-    # calls hit (98% on the benchmark's cold pairs), 85.6% with one of the ten
-    # abscissae off the table's and none with every centre off by 1e-15
-    calls = misses = 0
-    quad, kernel = exceedance._quad, exceedance.kernel
-
-    def counting_quad(fn, *args):
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return fn(x)
-        return quad(counted, *args)
-
-    def counting_kernel(spec):
-        # every table holds one pdf, called on a float once per miss
-        k = kernel(spec)
-
-        def pdf(x):
-            nonlocal misses
-            misses += np.ndim(x) == 0
-            return k.pdf(x)
-        return k._replace(pdf=pdf)
-
-    monkeypatch.setattr(exceedance, "_quad", counting_quad)
-    monkeypatch.setattr(exceedance, "kernel", counting_kernel)
-    for F, G in CATALOGUE_PAIRS:
+def test_few_integrals_reach_quadpack(monkeypatch):
+    # the answers stay right if the first-pass exit is never taken, but the
+    # speed-up would vanish: on the catalogue 10 of 48 integrals reach
+    # QUADPACK, on the benchmark-style cold pairs 42 of 600
+    calls = []
+    quad = exceedance._quad
+    monkeypatch.setattr(exceedance, "_quad",
+                        lambda *args, **kwargs: calls.append(args[1:]) or quad(*args, **kwargs))
+    pairs = _cold_style_pairs(200)
+    for F, G in pairs:
         second_moment_integrals.__wrapped__(F, G)
-    assert calls > 0
-    assert 1.0 - misses / calls >= 0.9
+    assert len(calls) <= 0.1 * 3 * len(pairs)

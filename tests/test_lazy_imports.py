@@ -1,7 +1,9 @@
 """Importing wmwdesign loads numpy and scipy.special, not scipy.stats or scipy.integrate.
 
-Only ``welch_power`` (scipy.stats) and the quadrature (scipy.integrate)
-import them, on their first call: the WMW power path needs no scipy.stats.
+Only ``welch_power`` (scipy.stats) and QUADPACK (scipy.integrate) import
+them, on their first call: the WMW power path needs no scipy.stats, and an
+(F, G) pair whose integrals all converge in QUADPACK's first pass, computed
+with numpy, needs no scipy.integrate either.
 This test session has imported scipy.stats already (scipy_oracle.py and the
 oracles of the other test modules), so a missing first-call import shows only
 in a fresh interpreter: one is started with PYTHONPATH set to the package's
@@ -50,6 +52,10 @@ for test in TESTS:
     simulate_power(plan, test=test)
 loaded = [name for name in ("scipy.stats", "scipy.integrate") if name in sys.modules]
 
+from wmwdesign import second_moment_integrals
+second_moment_integrals(normal(0.75, 2.0), normal(0.0, 1.0))
+first_pass_loaded = [name for name in ("scipy.stats", "scipy.integrate") if name in sys.modules]
+
 from wmwdesign import (TWO_SIDED, PowerQuery, chi_square, deficiency_general, optimal_design,
                        power_curve, wmw_power)
 F, G = normal(0.75, 2.0), chi_square(3.0, shift=-2.0)
@@ -60,7 +66,8 @@ wmw_power(PowerQuery(F, G, Design(12, 30), side=TWO_SIDED))
 wmw_loaded = [name for name in ("scipy.stats", "scipy.integrate") if name in sys.modules]
 
 {inspect.getsource(first_calls)}
-print(json.dumps({{"package": wmwdesign.__file__, "loaded": loaded, "wmw_loaded": wmw_loaded,
+print(json.dumps({{"package": wmwdesign.__file__, "loaded": loaded,
+                  "first_pass_loaded": first_pass_loaded, "wmw_loaded": wmw_loaded,
                   "results": first_calls()}}))
 """
 
@@ -75,7 +82,9 @@ def test_fresh_interpreter_loads_stats_and_integrate_on_first_call():
     # importing the package and the CLI, exact null tables and all four
     # simulated tests need neither module
     assert child["loaded"] == []
-    # the WMW power path, its scans and its deficiency search integrate, but
-    # load no scipy.stats
+    # two normals' integrals all take the first-pass exit: no QUADPACK
+    assert child["first_pass_loaded"] == []
+    # the WMW power path, its scans and its deficiency search integrate, and
+    # on a shifted chi-square some integral reaches QUADPACK; no scipy.stats
     assert child["wmw_loaded"] == ["scipy.integrate"]
     assert child["results"] == first_calls()
