@@ -7,7 +7,6 @@ demand, so table moments can be checked as exact rationals.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,10 +79,14 @@ def build_table(m: int, n: int, max_entries: int = MAX_TABLE_ENTRIES) -> ExactNu
 
     With a = min(m, n) and b = max(m, n), the counts are the coefficients of
     the Gaussian binomial prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i) (Harding,
-    Applied Statistics 33:1-6, 1984).  After step i the running product is a
-    polynomial of degree i*b, so each step works on the first i*b + 1
-    coefficients: the multiply is one shifted subtraction and the divide a
-    cumulative sum with stride i.
+    Applied Statistics 33:1-6, 1984).  The counts are symmetric,
+    c[u] = c[mn - u], and a truncated product's low coefficients depend only
+    on lower ones, so only the degrees up to mn // 2 are built and the rest
+    are their mirror, the same int objects.  The coefficients are Python ints
+    in one numpy object array; after step i the running product has degree
+    i*b, so each step works on at most its first i*b + 1 coefficients: the
+    multiply is one shifted subtraction and the divide one cumulative sum
+    down the columns of those coefficients viewed as rows of length i.
     """
     m, n = _count(m, 1, "m"), _count(n, 1, "n")
     if m * n + 1 > max_entries:
@@ -92,13 +95,20 @@ def build_table(m: int, n: int, max_entries: int = MAX_TABLE_ENTRIES) -> ExactNu
         )
 
     a, b = min(m, n), max(m, n)
-    counts = [1] + [0] * (m * n)
+    mn = m * n
+    half = mn // 2 + 1  # c[u] = c[mn - u]: only degrees below half are built
+    c = np.zeros(half + a, dtype=object)  # Python ints; a spare row pads the reshape
+    c[0] = 1
     for i in range(1, a + 1):
-        top = i * b + 1  # coefficients kept at this step
-        shift = b + i  # >= top only at i = 1, where both slices are empty
-        counts[shift:top] = map(operator.sub, counts[shift:top], counts[:top - shift])
-        for r in range(i):
-            counts[r:top:i] = accumulate(counts[r:top:i])
+        top = min(i * b + 1, half)  # coefficients kept at this step
+        if b + i < top:  # times 1 - q^(b+i)
+            c[b + i:top] -= c[:top - b - i].copy()
+        rows = -(-top // i)  # over 1 - q^i: a running sum per residue class
+        v = c[:rows * i].reshape(rows, i)
+        np.cumsum(v, axis=0, out=v)
+        c[top:rows * i] = 0  # the pad, and any degree not yet reached
+    low = c[:half].tolist()
+    counts = low + low[mn - half::-1]
 
     assert sum(counts) == math.comb(m + n, m)
     return ExactNullTable(m=m, n=n, counts=tuple(counts))

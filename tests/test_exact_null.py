@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -44,6 +45,24 @@ def recurrence_counts(m, n):
             cur_row.append(cell)
         prev_row = cur_row
     return tuple(prev_row[n])
+
+
+def _harding_lists(m, n):
+    """Reference counts by Harding's generating function on a list of ints.
+
+    The full product prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i), a = min(m, n),
+    b = max(m, n), with no use of the symmetry: each multiply is one shifted
+    subtraction and each divide one running sum per residue class mod i.
+    """
+    a, b = min(m, n), max(m, n)
+    counts = [1] + [0] * (m * n)
+    for i in range(1, a + 1):
+        top = i * b + 1  # coefficients kept at this step
+        shift = b + i  # >= top only at i = 1, where both slices are empty
+        counts[shift:top] = map(operator.sub, counts[shift:top], counts[:top - shift])
+        for r in range(i):
+            counts[r:top:i] = itertools.accumulate(counts[r:top:i])
+    return tuple(counts)
 
 
 def scan_critical_value(table, alpha, side):
@@ -93,6 +112,29 @@ def test_critical_value_matches_fraction_scan(sizes):
                 cv = critical_value(t, alpha, side)
                 expected = scan_critical_value(t, alpha, side)
                 assert (cv.value, cv.achieved_size, cv.degenerate) == expected, (m, n, side, alpha)
+
+
+# both parities of m*n up to 40x40, a thin table both ways round (5x70, 70x5)
+# and two larger ones
+HARDING_SIZES = ([(m, n) for m in range(1, 41) for n in range(1, 41)]
+                 + [(5, 70), (70, 5), (70, 70), (150, 150)])
+
+
+def test_table_matches_harding_lists():
+    for m, n in HARDING_SIZES:
+        counts = build_table(m, n).counts
+        assert counts == _harding_lists(m, n), (m, n)
+        assert all(type(c) is int for c in counts), (m, n)
+
+
+def test_counts_unimodal_about_the_centre():
+    # Gaussian binomial coefficients never fall up to mn // 2 and, by
+    # symmetry, never rise after it
+    for m, n in HARDING_SIZES:
+        counts = build_table(m, n).counts
+        centre = m * n // 2
+        assert all(x <= y for x, y in zip(counts[:centre], counts[1:centre + 1])), (m, n)
+        assert all(x >= y for x, y in zip(counts[centre:], counts[centre + 1:])), (m, n)
 
 
 def test_minimal_tables():
